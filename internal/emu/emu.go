@@ -27,6 +27,15 @@ import (
 // needs.
 const DefaultMemoryWords = 1 << 20
 
+// initialMemoryWords is the backing store a new Machine starts with.
+// Memory is grown on demand, by doubling, up to the machine's logical
+// size, so a kernel pays only for the words it reaches.
+const initialMemoryWords = 4 << 10
+
+// initialTraceOps is the trace capacity Run starts with; it doubles
+// from there.
+const initialTraceOps = 256
+
 // DefaultStepLimit bounds the dynamic instruction count of a single
 // Run, so a buggy kernel with a non-terminating loop yields an error
 // instead of a hang.
@@ -38,6 +47,10 @@ var ErrStepLimit = errors.New("emu: dynamic step limit exceeded")
 
 // Machine is the architectural state: the four register files and
 // word-addressed memory.
+//
+// Memory has a fixed logical size, set by New, but is backed only up
+// to the highest word touched so far (rounded up to a power of two);
+// words past the backing store read as zero.
 type Machine struct {
 	A [isa.NumA]int64
 	S [isa.NumS]uint64
@@ -49,19 +62,44 @@ type Machine struct {
 	V  [isa.NumV][isa.VecLen]uint64
 	VL int64
 
-	Mem []uint64
+	words int64    // logical memory size; accesses at or past it fault
+	mem   []uint64 // backing store for words [0, len(mem)), len(mem) <= words
 
 	// StepLimit bounds Run; 0 means DefaultStepLimit.
 	StepLimit int64
 }
 
 // New returns a machine with the given number of memory words
-// (DefaultMemoryWords if words <= 0).
+// (DefaultMemoryWords if words <= 0). The memory reads as all zeros;
+// its backing store grows on demand up to words.
 func New(words int) *Machine {
 	if words <= 0 {
 		words = DefaultMemoryWords
 	}
-	return &Machine{Mem: make([]uint64, words)}
+	return &Machine{words: int64(words), mem: make([]uint64, min(words, initialMemoryWords))}
+}
+
+// grow extends the backing store to cover word addr, doubling its
+// length and capping it at the logical size. The caller has checked
+// that addr < m.words (so m.words > 0, and New gave mem a length).
+func (m *Machine) grow(addr int64) {
+	n := int64(len(m.mem))
+	for n <= addr {
+		n *= 2
+	}
+	mem := make([]uint64, min(n, m.words))
+	copy(mem, m.mem)
+	m.mem = mem
+}
+
+// word returns memory word addr, growing the backing store to cover
+// it. Like a slice index, it panics if addr is outside the logical
+// memory.
+func (m *Machine) word(addr int64) *uint64 {
+	if addr >= int64(len(m.mem)) && addr < m.words {
+		m.grow(addr)
+	}
+	return &m.mem[addr]
 }
 
 // Reset clears all registers. Memory is left untouched so a caller
@@ -77,19 +115,19 @@ func (m *Machine) Reset() {
 
 // Float returns memory word addr interpreted as a float64.
 func (m *Machine) Float(addr int64) float64 {
-	return math.Float64frombits(m.Mem[addr])
+	return math.Float64frombits(*m.word(addr))
 }
 
 // SetFloat stores f into memory word addr.
 func (m *Machine) SetFloat(addr int64, f float64) {
-	m.Mem[addr] = math.Float64bits(f)
+	*m.word(addr) = math.Float64bits(f)
 }
 
 // Int returns memory word addr interpreted as an int64.
-func (m *Machine) Int(addr int64) int64 { return int64(m.Mem[addr]) }
+func (m *Machine) Int(addr int64) int64 { return int64(*m.word(addr)) }
 
 // SetInt stores v into memory word addr.
-func (m *Machine) SetInt(addr int64, v int64) { m.Mem[addr] = uint64(v) }
+func (m *Machine) SetInt(addr int64, v int64) { *m.word(addr) = uint64(v) }
 
 // SFloat returns scalar register i as a float64.
 func (m *Machine) SFloat(i int) float64 { return math.Float64frombits(m.S[i]) }
@@ -120,7 +158,7 @@ func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 	if limit == 0 {
 		limit = DefaultStepLimit
 	}
-	t := &trace.Trace{Name: p.Name}
+	t := &trace.Trace{Name: p.Name, Ops: make([]trace.Op, 0, initialTraceOps)}
 	pc := 0
 	var seq int64
 	fail := func(err error) (*trace.Trace, error) {
@@ -211,19 +249,20 @@ func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 
 		case isa.OpLoadS, isa.OpLoadA, isa.OpStoreS, isa.OpStoreA:
 			addr := m.A[in.Src1.Index()] + in.Imm
-			if addr < 0 || addr >= int64(len(m.Mem)) {
-				return fail(fmt.Errorf("memory access out of range: address %d (memory %d words)", addr, len(m.Mem)))
+			if addr < 0 || addr >= m.words {
+				return fail(fmt.Errorf("memory access out of range: address %d (memory %d words)", addr, m.words))
 			}
 			op.Addr = addr
+			w := m.word(addr)
 			switch in.Op {
 			case isa.OpLoadS:
-				m.S[in.Dst.Index()] = m.Mem[addr]
+				m.S[in.Dst.Index()] = *w
 			case isa.OpLoadA:
-				m.A[in.Dst.Index()] = int64(m.Mem[addr])
+				m.A[in.Dst.Index()] = int64(*w)
 			case isa.OpStoreS:
-				m.Mem[addr] = m.S[in.Src2.Index()]
+				*w = m.S[in.Src2.Index()]
 			case isa.OpStoreA:
-				m.Mem[addr] = uint64(m.A[in.Src2.Index()])
+				*w = uint64(m.A[in.Src2.Index()])
 			}
 
 		case isa.OpJ:
@@ -256,9 +295,14 @@ func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 		case isa.OpVLoad, isa.OpVStore:
 			base := m.A[in.Src1.Index()]
 			stride := in.Imm
-			last := base + stride*(m.VL-1)
-			if m.VL > 0 && (base < 0 || base >= int64(len(m.Mem)) || last < 0 || last >= int64(len(m.Mem))) {
-				return fail(fmt.Errorf("vector access out of range: base %d stride %d length %d", base, stride, m.VL))
+			if m.VL > 0 {
+				top, ok := m.vectorTop(base, stride)
+				if !ok {
+					return fail(fmt.Errorf("vector access out of range: base %d stride %d length %d", base, stride, m.VL))
+				}
+				if top >= int64(len(m.mem)) {
+					m.grow(top)
+				}
 			}
 			op.Addr = base
 			op.Stride = stride
@@ -266,12 +310,12 @@ func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 			if in.Op == isa.OpVLoad {
 				vd := in.Dst.Index()
 				for i := int64(0); i < m.VL; i++ {
-					m.V[vd][i] = m.Mem[base+stride*i]
+					m.V[vd][i] = m.mem[base+stride*i]
 				}
 			} else {
 				vs := in.Src2.Index()
 				for i := int64(0); i < m.VL; i++ {
-					m.Mem[base+stride*i] = m.V[vs][i]
+					m.mem[base+stride*i] = m.V[vs][i]
 				}
 			}
 
@@ -318,11 +362,40 @@ func (m *Machine) Run(p *isa.Program) (*trace.Trace, error) {
 		default:
 			return fail(fmt.Errorf("unimplemented opcode %s", in.Op))
 		}
+		if len(t.Ops) == cap(t.Ops) {
+			// Double explicitly: append grows large slices by ~1.25x,
+			// which copies a long trace many times over.
+			ops := make([]trace.Op, len(t.Ops), 2*cap(t.Ops))
+			copy(ops, t.Ops)
+			t.Ops = ops
+		}
 		t.Ops = append(t.Ops, op)
 		seq++
 		pc = next
 	}
 	return t, nil
+}
+
+// vectorTop checks that all m.VL (> 0) elements base + stride*i lie in
+// memory, and returns the highest element address. It never computes
+// an overflowing product: a stride too large for the memory is
+// rejected before the last element's address is formed.
+func (m *Machine) vectorTop(base, stride int64) (int64, bool) {
+	if base < 0 || base >= m.words {
+		return 0, false
+	}
+	span := m.VL - 1
+	if span == 0 {
+		return base, true
+	}
+	if limit := (m.words - 1) / span; stride > limit || stride < -limit {
+		return 0, false
+	}
+	last := base + stride*span
+	if last < 0 || last >= m.words {
+		return 0, false
+	}
+	return max(base, last), true
 }
 
 func (m *Machine) f(r isa.Reg) float64 {

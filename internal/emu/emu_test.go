@@ -2,6 +2,7 @@ package emu
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -398,12 +399,12 @@ func TestRunPreservesIEEEBitPatterns(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(64)
-	bits := math.Float64bits(math.Pi)
-	m.Mem[10] = bits
+	bits := int64(math.Float64bits(math.Pi))
+	m.SetInt(10, bits)
 	if _, err := m.Run(p); err != nil {
 		t.Fatal(err)
 	}
-	if m.Mem[11] != bits {
+	if m.Int(11) != bits {
 		t.Error("load/store altered bit pattern")
 	}
 }
@@ -493,5 +494,146 @@ func TestVectorBoundsChecks(t *testing.T) {
 `)
 	if _, err := New(0).Run(p3); err == nil {
 		t.Error("element index 64 accepted")
+	}
+}
+
+func TestOutOfRangeReportsLogicalSize(t *testing.T) {
+	// The backing store starts small, but range checks and their
+	// message use the logical size New was given.
+	p, _ := asm.Assemble("oob", `
+    A1 = 1048576
+    S1 = [A1]
+`)
+	_, err := New(0).Run(p)
+	if err == nil || !strings.Contains(err.Error(), "memory access out of range: address 1048576 (memory 1048576 words)") {
+		t.Fatalf("got %v", err)
+	}
+	// The last logical word is reachable.
+	p2, _ := asm.Assemble("top", `
+    A1 = 1048575
+    S1 = 7
+    [A1] = S1
+`)
+	m := New(0)
+	if _, err := m.Run(p2); err != nil {
+		t.Fatal(err)
+	}
+	if m.Int(1048575) != 7 {
+		t.Errorf("top word = %d, want 7", m.Int(1048575))
+	}
+}
+
+func TestNeverWrittenMemoryReadsZero(t *testing.T) {
+	p, _ := asm.Assemble("z", `
+    A1 = 200000
+    S1 = [A1]
+    A2 = [A1 + 1]
+    A3 = 4
+    VL = A3
+    V1 = [A1 : 1000]
+    A4 = 3
+    S2 = V1 [ A4 ]
+`)
+	m := New(0)
+	m.SetInt(5, -1)
+	m.S[1], m.A[2], m.S[2] = 9, 9, 9
+	if _, err := m.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	if m.S[1] != 0 || m.A[2] != 0 || m.S[2] != 0 {
+		t.Errorf("loads of unwritten words = %d, %d, %d, want 0", m.S[1], m.A[2], m.S[2])
+	}
+	if m.Int(900000) != 0 || m.Float(900001) != 0 {
+		t.Error("Int/Float of an unwritten word is not zero")
+	}
+	if m.Int(5) != -1 {
+		t.Error("growth lost a word written before it")
+	}
+}
+
+func TestBackingGrowsByDoublingToLogicalSize(t *testing.T) {
+	m := New(0)
+	if w := BackingWords(m); w != initialMemoryWords {
+		t.Fatalf("initial backing %d words, want %d", w, initialMemoryWords)
+	}
+	m.SetInt(initialMemoryWords, 1)
+	if w := BackingWords(m); w != 2*initialMemoryWords {
+		t.Errorf("after one step past the end: %d words, want %d", w, 2*initialMemoryWords)
+	}
+	m.SetInt(DefaultMemoryWords-1, 1)
+	if w := BackingWords(m); w != DefaultMemoryWords {
+		t.Errorf("after the top word: %d words, want %d", w, DefaultMemoryWords)
+	}
+	// A logical size that is not a power of two caps the doubling.
+	odd := New(5000)
+	odd.SetInt(4999, 1)
+	if w := BackingWords(odd); w != 5000 {
+		t.Errorf("New(5000) backs %d words after its top word, want 5000", w)
+	}
+	if w := BackingWords(New(64)); w != 64 {
+		t.Errorf("New(64) backs %d words, want 64", w)
+	}
+}
+
+func TestVectorAccessAcrossGrowthBoundary(t *testing.T) {
+	// Strips that start inside the initial backing store and end past
+	// it, ascending and descending, load and store every element.
+	const edge = initialMemoryWords
+	p, _ := asm.Assemble("straddle", fmt.Sprintf(`
+    A1 = %d
+    A2 = 64
+    VL = A2
+    V1 = [A1 : 1]
+    A3 = %d
+    [A3 : 3] = V1
+    A4 = %d
+    V2 = [A4 : -3]
+`, edge-32, 2*edge-40, 2*edge-40+63*3))
+	m := New(0)
+	for i := int64(0); i < 64; i++ {
+		if edge-32+i < edge {
+			m.SetInt(edge-32+i, i+1)
+		}
+	}
+	if w := BackingWords(m); w != edge {
+		t.Fatalf("setup grew memory to %d words", w)
+	}
+	if _, err := m.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 64; i++ {
+		want := uint64(0)
+		if i < 32 {
+			want = uint64(i + 1)
+		}
+		if m.V[1][i] != want {
+			t.Errorf("V1[%d] = %d, want %d", i, m.V[1][i], want)
+		}
+		if got := m.Int(2*edge - 40 + 3*i); uint64(got) != want {
+			t.Errorf("stored word %d = %d, want %d", i, got, want)
+		}
+		if m.V[2][i] != m.V[1][63-i] {
+			t.Errorf("V2[%d] = %d, want V1[%d] = %d", i, m.V[2][i], 63-i, m.V[1][63-i])
+		}
+	}
+}
+
+func TestVectorStrideOverflowIsARuntimeError(t *testing.T) {
+	// base + stride*(VL-1) wraps back to base for this stride, so a
+	// check of the two end points alone passes and the element loop
+	// then indexes far outside memory.
+	for _, stride := range []string{"4611686018427387904", "-4611686018427387904", "9223372036854775807", "-9223372036854775808"} {
+		for _, op := range []string{"V1 = [A1 : %s]", "[A1 : %s] = V1"} {
+			src := "    A1 = 0\n    A2 = 5\n    VL = A2\n    " + fmt.Sprintf(op, stride) + "\n"
+			p, err := asm.Assemble("ovf", src)
+			if err != nil {
+				t.Fatalf("%s: %v", src, err)
+			}
+			_, err = New(64).Run(p)
+			var re *RuntimeError
+			if !errors.As(err, &re) || !strings.Contains(err.Error(), "vector access out of range") {
+				t.Errorf("%q: got %v, want a vector-range *RuntimeError", src, err)
+			}
+		}
 	}
 }

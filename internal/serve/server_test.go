@@ -380,6 +380,35 @@ func TestBreakerQuarantinesPermanentFailures(t *testing.T) {
 	}
 }
 
+// TestHostileAsmFailsTheJobNotTheDaemon submits a program whose vector
+// stride overflows the address arithmetic (base + stride*(VL-1) wraps
+// back to base). Emulation runs on a worker goroutine with no recover,
+// so an unchecked access there would kill the whole daemon; instead
+// the job must fail with the emulator's structured error and the
+// server must keep answering.
+func TestHostileAsmFailsTheJobNotTheDaemon(t *testing.T) {
+	_, hs := testServer(t, Config{Workers: 1})
+	doc := `{"machine":{"kind":"cray"},"workload":{"asm":"    A1 = 0\n    A2 = 5\n    VL = A2\n    V1 = [A1 : 4611686018427387904]\n"}}`
+	code, _, jr := post(t, hs.URL+"/v1/jobs?wait=1", doc)
+	if code != http.StatusOK || jr.Status != "failed" || jr.Transient {
+		t.Fatalf("hostile job: %d %+v, want a permanent failure", code, jr)
+	}
+	if !strings.Contains(jr.Error, "vector access out of range") {
+		t.Errorf("error %q does not name the vector range fault", jr.Error)
+	}
+	resp, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after hostile job: %d", resp.StatusCode)
+	}
+	if code, _, jr := post(t, hs.URL+"/v1/jobs?wait=1", crayLoop1); code != http.StatusOK || jr.Status != "done" {
+		t.Errorf("healthy job after hostile one: %d %+v", code, jr)
+	}
+}
+
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	release := make(chan struct{})
 	s, hs := testServer(t, Config{Workers: 1, QueueDepth: 4})

@@ -13,7 +13,9 @@ type Program = isa.Program
 
 // EmuMachine is the architectural emulator state: registers and
 // word-addressed memory. Use it to lay out input data before tracing
-// a custom program and to inspect results afterwards.
+// a custom program and to inspect results afterwards (SetFloat,
+// SetInt, Float, Int). Memory is allocated on demand as it is
+// touched, up to the size given to NewEmuMachine.
 type EmuMachine = emu.Machine
 
 // Assemble translates CRAY-like assembly source (see internal/asm for
@@ -23,7 +25,9 @@ func Assemble(name, source string) (*Program, error) {
 }
 
 // NewEmuMachine returns an emulator machine with the given number of
-// 64-bit memory words (<= 0 selects the 1 Mi-word default).
+// 64-bit memory words (<= 0 selects the 1 Mi-word default). The words
+// read as zero; memory grows on demand up to words, so a large size
+// costs nothing until a program reaches it.
 func NewEmuMachine(words int) *EmuMachine { return emu.New(words) }
 
 // TraceProgram architecturally executes p on m and returns the
