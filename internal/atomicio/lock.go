@@ -9,16 +9,16 @@ import (
 
 // Advisory file locking for append-only journals.
 //
-// The checkpoint journal (internal/tables) and the daemon's result
-// cache (internal/serve) are both append-only JSONL files whose
-// crash-safety story assumes a single writer: two processes
-// interleaving appends would fuse records into lines neither writer
-// produced, which the torn-tail recovery cannot repair (it only
-// trusts the *final* line to be damaged). An exclusive flock on the
-// journal file makes the single-writer assumption explicit: the
-// second opener — say, a stray `mfutables -checkpoint` run against a
-// journal a daemon is serving from — fails immediately with a
-// structured *LockError instead of silently corrupting the file.
+// Its one user is internal/journal, the crash-safe JSONL journal
+// behind the table checkpoint, the sweep journal and the daemon's
+// result cache. That journal's torn-tail repair trusts only the
+// *final* line to be damaged, so it assumes a single writer: two
+// processes interleaving appends would fuse records into lines neither
+// writer produced. An exclusive flock on the journal file makes the
+// assumption explicit: the second opener — say, a stray `mfutables
+// -checkpoint` run against a journal a daemon is serving from — fails
+// immediately with a structured *LockError instead of silently
+// corrupting the file.
 //
 // The lock is advisory and lives on the open file description, so it
 // conflicts between a daemon and a CLI, between two daemons, and even
@@ -49,13 +49,4 @@ func Lock(f *os.File) error {
 		return &LockError{Path: f.Name()}
 	}
 	return fmt.Errorf("atomicio: locking %s: %w", f.Name(), err)
-}
-
-// Unlock drops the advisory lock early. Closing the file releases it
-// anyway; Unlock exists for handovers that outlive the descriptor.
-func Unlock(f *os.File) error {
-	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_UN); err != nil {
-		return fmt.Errorf("atomicio: unlocking %s: %w", f.Name(), err)
-	}
-	return nil
 }

@@ -44,26 +44,3 @@ func TestLockExcludesSecondOpener(t *testing.T) {
 		t.Fatalf("lock after holder closed: %v", err)
 	}
 }
-
-func TestUnlockReleasesEarly(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.jsonl")
-	a, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	if err := Lock(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := Unlock(a); err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := Lock(b); err != nil {
-		t.Fatalf("lock after explicit unlock: %v", err)
-	}
-}

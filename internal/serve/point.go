@@ -95,6 +95,9 @@ func (s *Server) runPoint(j *job) {
 	}
 	if s.sweepJ != nil {
 		s.sweepJ.Record(j.key, rate)
+		if jerr := s.sweepJ.Err(); jerr != nil {
+			s.log.Error("sweep journal write failed; points no longer durable", "err", jerr.Error())
+		}
 	}
 	s.finishPoint(j, rate)
 }

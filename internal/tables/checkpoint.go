@@ -1,17 +1,12 @@
 package tables
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
-	"os"
 	"strconv"
-	"sync"
 
-	"mfup/internal/atomicio"
-	"mfup/internal/faultinject"
+	"mfup/internal/journal"
 )
 
 // Checkpoint is a JSONL journal of completed table cells, the resume
@@ -20,7 +15,7 @@ import (
 // later run against the same journal skips those cells entirely,
 // producing byte-identical tables without recomputation.
 //
-// One line per cell:
+// One line per cell, after a signature header:
 //
 //	{"table":3,"cell":17,"rate":"0x1.9c7ep-01"}
 //
@@ -29,19 +24,12 @@ import (
 // "close to" is not close enough. Failed and non-finite cells are
 // never journaled; a resumed run re-attempts them.
 //
-// Append + a torn-line-tolerant reader make the journal crash-safe:
-// a process killed mid-append loses at most the line being written,
-// which the next run simply recomputes. Lines are written through the
-// "write.checkpoint" fault-injection site.
+// The file handling — lock, torn-tail repair, sticky write failures —
+// is internal/journal's: a process killed mid-append loses at most the
+// line being written, which the next run simply recomputes. Lines are
+// written through the "write.checkpoint" fault-injection site.
 type Checkpoint struct {
-	path string
-
-	mu     sync.Mutex
-	f      *os.File
-	cells  map[checkpointKey]float64
-	loaded int   // cells read from an existing journal
-	saved  int   // cells appended by this process
-	err    error // first write failure, sticky
+	j *journal.Journal[checkpointKey, float64]
 }
 
 type checkpointKey struct {
@@ -62,13 +50,11 @@ type checkpointHeader struct {
 	Signature string `json:"signature"`
 }
 
+var errUnsigned = errors.New("journal has no signature header (written by an incompatible run?); its cell keys cannot be trusted — delete it or start a fresh journal")
+
 // OpenCheckpoint opens (creating if absent) the journal at path and
-// loads every complete line already in it. A torn final line — a line
-// without its terminating newline, the signature of a kill mid-append
-// — is dropped and truncated away so the next append starts on a
-// clean line. Any complete line that does not parse is an error,
-// because resuming from a journal that cannot be trusted would
-// silently corrupt tables.
+// loads every complete line already in it (see internal/journal for
+// torn tails and corrupt lines).
 //
 // The journal's first line is a signature header binding the rates to
 // the grid that produced them (see JournalSignature): a fresh journal
@@ -83,113 +69,52 @@ func OpenCheckpoint(path, signature string) (*Checkpoint, error) {
 	if signature == "" {
 		return nil, fmt.Errorf("checkpoint: empty journal signature (use JournalSignature)")
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	// Exclusive advisory lock: the append-only crash-safety story
-	// assumes a single writer, and a second process (say, a daemon
-	// serving the same journal) interleaving appends would fuse
-	// records into unparseable lines. The second opener gets a
-	// structured *atomicio.LockError instead; the lock dies with the
-	// descriptor, so even kill -9 cannot wedge a later resume.
-	if err := atomicio.Lock(f); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	c := &Checkpoint{path: path, f: f, cells: make(map[checkpointKey]float64)}
-	r := bufio.NewReader(f)
-	var accepted int64 // offset past the last complete, valid line
-	lineno := 0
-	signed := false // a matching signature header has been read
-	for {
-		line, err := r.ReadBytes('\n')
-		if err == io.EOF {
-			// No newline: empty tail or a torn append. Drop it either way.
-			break
-		}
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-		lineno++
-		trimmed := bytes.TrimSpace(line)
-		if len(trimmed) != 0 {
-			if !signed {
-				// The first complete line must be the signature header.
-				// A legacy cell line lands here too: it unmarshals with an
-				// empty Signature and is refused as unsigned.
-				var hdr checkpointHeader
-				if err := json.Unmarshal(trimmed, &hdr); err != nil {
-					f.Close()
-					return nil, fmt.Errorf("checkpoint %s line %d: %v", path, lineno, err)
+	header, _ := json.Marshal(checkpointHeader{Signature: signature}) // a string field cannot fail to marshal
+	j, err := journal.Open(path, journal.Scheme[checkpointKey, float64]{
+		Name:   "checkpoint",
+		Site:   "write.checkpoint",
+		Header: header,
+		CheckHeader: func(line []byte) error {
+			// A legacy cell line lands here too: it unmarshals with an
+			// empty Signature and is refused as unsigned.
+			var hdr checkpointHeader
+			if line != nil {
+				if err := json.Unmarshal(line, &hdr); err != nil {
+					return err
 				}
-				if hdr.Signature == "" {
-					f.Close()
-					return nil, fmt.Errorf("checkpoint %s: journal has no signature header (written by an incompatible run?); its cell keys cannot be trusted — delete it or start a fresh journal", path)
-				}
-				if hdr.Signature != signature {
-					f.Close()
-					return nil, fmt.Errorf("checkpoint %s: journal signature %.12s.. does not match this run's %.12s.. (different scale or machine grid); resuming would replay rates into the wrong cells — delete it or rerun with the journal's settings", path, hdr.Signature, signature)
-				}
-				signed = true
-				accepted += int64(len(line))
-				continue
 			}
+			switch hdr.Signature {
+			case "":
+				return errUnsigned
+			case signature:
+				return nil
+			}
+			return fmt.Errorf("journal signature %.12s.. does not match this run's %.12s.. (different scale or machine grid); resuming would replay rates into the wrong cells — delete it or rerun with the journal's settings", hdr.Signature, signature)
+		},
+		Encode: func(k checkpointKey, rate float64) ([]byte, error) {
+			return json.Marshal(checkpointLine{Table: k.Table, Cell: k.Cell, Rate: strconv.FormatFloat(rate, 'x', -1, 64)})
+		},
+		Decode: func(line []byte) (checkpointKey, float64, error) {
 			var cl checkpointLine
-			if err := json.Unmarshal(trimmed, &cl); err != nil {
-				f.Close()
-				return nil, fmt.Errorf("checkpoint %s line %d: %v", path, lineno, err)
+			if err := json.Unmarshal(line, &cl); err != nil {
+				return checkpointKey{}, 0, err
 			}
 			rate, err := strconv.ParseFloat(cl.Rate, 64)
 			if err != nil {
-				f.Close()
-				return nil, fmt.Errorf("checkpoint %s line %d: rate %q: %v", path, lineno, cl.Rate, err)
+				return checkpointKey{}, 0, fmt.Errorf("rate %q: %v", cl.Rate, err)
 			}
-			c.cells[checkpointKey{cl.Table, cl.Cell}] = rate
-		}
-		accepted += int64(len(line))
+			return checkpointKey{cl.Table, cl.Cell}, rate, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Truncate away any torn tail: appending straight after a partial
-	// line would fuse it with the next record into one corrupt line
-	// that a second resume could not skip.
-	if err := f.Truncate(accepted); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if _, err := f.Seek(accepted, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-	}
-	if !signed {
-		if accepted != 0 {
-			// Complete-but-blank lines with no header: not a journal we
-			// wrote; refuse rather than stamp a header after them.
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: journal has no signature header (written by an incompatible run?); its cell keys cannot be trusted — delete it or start a fresh journal", path)
-		}
-		// A fresh (or fully torn) journal: stamp it before any cells.
-		hdr, err := json.Marshal(checkpointHeader{Signature: signature})
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-		w := faultinject.WrapWriter("write.checkpoint", f)
-		if _, err := w.Write(append(hdr, '\n')); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("checkpoint %s: %w", path, err)
-		}
-	}
-	c.loaded = len(c.cells)
-	return c, nil
+	return &Checkpoint{j}, nil
 }
 
 // Lookup returns the journaled rate of (table, cell), if present.
 func (c *Checkpoint) Lookup(table, cell int) (float64, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.cells[checkpointKey{table, cell}]
-	return r, ok
+	return c.j.Get(checkpointKey{table, cell})
 }
 
 // Record journals one completed cell. Non-finite rates are ignored
@@ -199,65 +124,20 @@ func (c *Checkpoint) Record(table, cell int, rate float64) {
 	if rate != rate || rate == 0 { // NaN or degenerate
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := checkpointKey{table, cell}
-	if _, dup := c.cells[key]; dup {
-		return
-	}
-	c.cells[key] = rate
-	if c.err != nil {
-		return
-	}
-	line, err := json.Marshal(checkpointLine{
-		Table: table, Cell: cell,
-		Rate: strconv.FormatFloat(rate, 'x', -1, 64),
-	})
-	if err != nil {
-		c.err = err
-		return
-	}
-	w := faultinject.WrapWriter("write.checkpoint", c.f)
-	if _, err := w.Write(append(line, '\n')); err != nil {
-		c.err = fmt.Errorf("checkpoint %s: %w", c.path, err)
-		return
-	}
-	c.saved++
+	c.j.Put(checkpointKey{table, cell}, rate)
 }
 
-// Loaded reports how many cells an existing journal contributed, and
-// Saved how many this process appended.
-func (c *Checkpoint) Loaded() int { return c.loaded }
+// Loaded reports how many cells an existing journal contributed.
+func (c *Checkpoint) Loaded() int { return c.j.Loaded() }
 
 // Saved reports how many cells this process appended to the journal.
-func (c *Checkpoint) Saved() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.saved
-}
+func (c *Checkpoint) Saved() int { return c.j.Saved() }
 
 // Flush makes the journal durable without closing it — the SIGINT
 // path flushes before the process exits so every completed cell
 // survives the kill.
-func (c *Checkpoint) Flush() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.f.Sync(); err != nil && c.err == nil {
-		c.err = fmt.Errorf("checkpoint %s: %w", c.path, err)
-	}
-	return c.err
-}
+func (c *Checkpoint) Flush() error { return c.j.Flush() }
 
 // Close syncs and closes the journal, returning the first write
 // failure encountered over its lifetime (injected or real).
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if serr := c.f.Sync(); serr != nil && c.err == nil {
-		c.err = fmt.Errorf("checkpoint %s: %w", c.path, serr)
-	}
-	if cerr := c.f.Close(); cerr != nil && c.err == nil {
-		c.err = cerr
-	}
-	return c.err
-}
+func (c *Checkpoint) Close() error { return c.j.Close() }
