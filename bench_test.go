@@ -125,23 +125,23 @@ func benchMachine(b *testing.B, m core.Machine) {
 }
 
 func BenchmarkSimulatorSimple(b *testing.B) {
-	benchMachine(b, core.NewBasic(core.Simple, core.M11BR5))
+	benchMachine(b, mustNew(b, "simple", core.M11BR5))
 }
 
 func BenchmarkSimulatorCRAYLike(b *testing.B) {
-	benchMachine(b, core.NewBasic(core.CRAYLike, core.M11BR5))
+	benchMachine(b, mustNew(b, "cray", core.M11BR5))
 }
 
 func BenchmarkSimulatorMultiIssue(b *testing.B) {
-	benchMachine(b, core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.BusN)))
+	benchMachine(b, mustNew(b, "multi", core.M11BR5.WithIssue(4, mfup.BusN)))
 }
 
 func BenchmarkSimulatorOOO(b *testing.B) {
-	benchMachine(b, core.NewMultiIssueOOO(core.M11BR5.WithIssue(4, mfup.BusN)))
+	benchMachine(b, mustNew(b, "ooo", core.M11BR5.WithIssue(4, mfup.BusN)))
 }
 
 func BenchmarkSimulatorRUU(b *testing.B) {
-	benchMachine(b, core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)))
+	benchMachine(b, mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)))
 }
 
 func BenchmarkTraceGeneration(b *testing.B) {
@@ -178,8 +178,8 @@ func BenchmarkAblationXBarVsNBus(b *testing.B) {
 	var xbar, nbus float64
 	for i := 0; i < b.N; i++ {
 		var rx, rn []float64
-		mx := core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.XBar))
-		mn := core.NewMultiIssue(core.M11BR5.WithIssue(4, mfup.BusN))
+		mx := mustNew(b, "multi", core.M11BR5.WithIssue(4, mfup.XBar))
+		mn := mustNew(b, "multi", core.M11BR5.WithIssue(4, mfup.BusN))
 		for _, t := range ts {
 			rx = append(rx, mx.Run(t).IssueRate())
 			rn = append(rn, mn.Run(t).IssueRate())
@@ -197,17 +197,17 @@ func BenchmarkAblationMemoryVsPipelining(b *testing.B) {
 	ts := allTraces()
 	var serial, interleaved, pipelined float64
 	for i := 0; i < b.N; i++ {
-		rate := func(o core.Organization) float64 {
-			m := core.NewBasic(o, core.M11BR5)
+		rate := func(kind string) float64 {
+			m := mustNew(b, kind, core.M11BR5)
 			var rs []float64
 			for _, t := range ts {
 				rs = append(rs, m.Run(t).IssueRate())
 			}
 			return stats.HarmonicMean(rs)
 		}
-		serial = rate(core.SerialMemory)
-		interleaved = rate(core.NonSegmented)
-		pipelined = rate(core.CRAYLike)
+		serial = rate("serialmem")
+		interleaved = rate("nonseg")
+		pipelined = rate("cray")
 	}
 	b.ReportMetric(interleaved/serial, "interleave-speedup")
 	b.ReportMetric(pipelined/interleaved, "pipeline-speedup")
@@ -220,8 +220,8 @@ func BenchmarkAblationRUUBankPartitioning(b *testing.B) {
 	ts := allTraces()
 	var banked, shared float64
 	for i := 0; i < b.N; i++ {
-		mb := core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(40))
-		ms := core.NewRUU(core.M11BR5.WithIssue(4, mfup.Bus1).WithRUU(40))
+		mb := mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(40))
+		ms := mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.Bus1).WithRUU(40))
 		var rb, rs []float64
 		for _, t := range ts {
 			rb = append(rb, mb.Run(t).IssueRate())
@@ -241,7 +241,7 @@ func BenchmarkAblationMemoryBanks(b *testing.B) {
 	rates := map[int]float64{}
 	for i := 0; i < b.N; i++ {
 		for _, banks := range []int{0, 16, 4} {
-			m := core.NewBasic(core.CRAYLike, core.M11BR5.WithMemBanks(banks))
+			m := mustNew(b, "cray", core.M11BR5.WithMemBanks(banks))
 			var rs []float64
 			for _, t := range ts {
 				rs = append(rs, m.Run(t).IssueRate())
@@ -284,8 +284,8 @@ func BenchmarkAblationSoftwareScheduling(b *testing.B) {
 	}
 	var crayBase, craySched, ruuBase, ruuSched float64
 	for i := 0; i < b.N; i++ {
-		cray := core.NewBasic(core.CRAYLike, core.M11BR5)
-		ruu := core.NewRUU(core.M11BR5.WithIssue(2, mfup.BusN).WithRUU(40))
+		cray := mustNew(b, "cray", core.M11BR5)
+		ruu := mustNew(b, "ruu", core.M11BR5.WithIssue(2, mfup.BusN).WithRUU(40))
 		crayBase, craySched = hm(cray, v.base), hm(cray, v.scheduled)
 		ruuBase, ruuSched = hm(ruu, v.base), hm(ruu, v.scheduled)
 	}
@@ -308,10 +308,10 @@ func BenchmarkAblationPerfectBranches(b *testing.B) {
 	}
 	var crayGain, ruuGain float64
 	for i := 0; i < b.N; i++ {
-		crayGain = hm(core.NewBasic(core.CRAYLike, core.M11BR5.WithPerfectBranches())) /
-			hm(core.NewBasic(core.CRAYLike, core.M11BR5))
-		ruuGain = hm(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50).WithPerfectBranches())) /
-			hm(core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)))
+		crayGain = hm(mustNew(b, "cray", core.M11BR5.WithPerfectBranches())) /
+			hm(mustNew(b, "cray", core.M11BR5))
+		ruuGain = hm(mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50).WithPerfectBranches())) /
+			hm(mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)))
 	}
 	b.ReportMetric(crayGain, "cray-speedup")
 	b.ReportMetric(ruuGain, "ruu-speedup")
@@ -332,9 +332,9 @@ func BenchmarkSection33(b *testing.B) {
 // the same computations as scalar code on the paper's strongest
 // multiple-issue machine. Reported metrics are mean cycle ratios.
 func BenchmarkAblationVectorVsSuperscalar(b *testing.B) {
-	vec := core.NewVector(core.M11BR5)
-	ruu := core.NewRUU(core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(100))
-	cray := core.NewBasic(core.CRAYLike, core.M11BR5)
+	vec := mustNew(b, "vector", core.M11BR5)
+	ruu := mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.BusN).WithRUU(100))
+	cray := mustNew(b, "cray", core.M11BR5)
 	var vsCray, vsRUU float64
 	for i := 0; i < b.N; i++ {
 		vsCray, vsRUU = 0, 0
@@ -399,7 +399,7 @@ func BenchmarkExtrapolation(b *testing.B) {
 		b.Fatal(err)
 	}
 	tr := k.SharedTrace()
-	full := core.NewBasic(core.CRAYLike, core.M11BR5)
+	full := mustNew(b, "cray", core.M11BR5)
 	const fullRuns = 3
 	var fullInstr int64
 	start := time.Now()
@@ -411,7 +411,7 @@ func BenchmarkExtrapolation(b *testing.B) {
 	var last core.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := core.Extrapolate(core.NewBasic(core.CRAYLike, core.M11BR5)).
+		e := core.Extrapolate(mustNew(b, "cray", core.M11BR5)).
 			WithVirtual(map[string]int64{tr.Name: vw})
 		r, err := e.RunChecked(tr, core.DefaultLimits())
 		if err != nil {
@@ -437,8 +437,8 @@ func BenchmarkExtrapolationOverhead(b *testing.B) {
 	tr := k.SharedTrace()
 	tr.Prepared() // charge the one-time decode to neither side
 	var bare, wrapped time.Duration
-	m := core.NewBasic(core.CRAYLike, core.M11BR5)
-	e := core.Extrapolate(core.NewBasic(core.CRAYLike, core.M11BR5))
+	m := mustNew(b, "cray", core.M11BR5)
+	e := core.Extrapolate(mustNew(b, "cray", core.M11BR5))
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
 		if _, err := m.RunChecked(tr, core.Limits{}); err != nil {

@@ -67,6 +67,7 @@ import (
 	"mfup/internal/events"
 	"mfup/internal/faultinject"
 	"mfup/internal/loops"
+	"mfup/internal/machdef"
 	"mfup/internal/probe"
 	"mfup/internal/stats"
 	"mfup/internal/trace"
@@ -77,7 +78,7 @@ var log = cli.NewLogger("mfusim", false)
 
 func main() {
 	var (
-		machine     = flag.String("machine", "cray", "simple | serialmem | nonseg | cray | scoreboard | tomasulo | multi | ooo | ruu | vector")
+		machine     = flag.String("machine", "cray", "machine kind, any case: "+strings.Join(machdef.Kinds(), " | "))
 		mem         = flag.Int("mem", 11, "memory access time in cycles (paper: 11 or 5)")
 		br          = flag.Int("br", 5, "branch execution time in cycles (paper: 5 or 2)")
 		units       = flag.Int("units", 1, "issue units/stations (multi, ooo, ruu)")
@@ -103,6 +104,7 @@ func main() {
 	)
 	flag.Parse()
 	log = cli.NewLogger("mfusim", *verbose)
+	kind := strings.ToLower(*machine)
 	loopsSet, seedSet, scaleSet := false, false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -123,7 +125,7 @@ func main() {
 		fail(fmt.Errorf("-stallcycles %d is negative (0 = off)", *stallCycles))
 	case *timeout < 0:
 		fail(fmt.Errorf("-timeout %v is negative (0 = none)", *timeout))
-	case strings.ToLower(*machine) == "tomasulo" && *stations < 1:
+	case kind == "tomasulo" && *stations < 1:
 		fail(fmt.Errorf("-stations %d: the Tomasulo machine needs at least one reservation station per unit", *stations))
 	case *traceEvents < 0:
 		fail(fmt.Errorf("-trace-events %d is negative (0 = default cap)", *traceEvents))
@@ -141,7 +143,7 @@ func main() {
 		fail(fmt.Errorf("-scale %d: loop length must be at least 1", *scale))
 	case scaleSet && *traceIn != "":
 		fail(fmt.Errorf("-scale conflicts with -tracein: the trace file fixes the workload"))
-	case scaleSet && strings.ToLower(*machine) == "vector":
+	case scaleSet && kind == "vector":
 		fail(fmt.Errorf("-scale does not apply to the vector machine: the vector codings are fixed at the paper lengths"))
 	}
 
@@ -165,36 +167,15 @@ func main() {
 		fail(err)
 	}
 
-	var m core.Machine
-	switch strings.ToLower(*machine) {
-	case "simple":
-		m, err = core.NewBasicChecked(core.Simple, cfg)
-	case "serialmem":
-		m, err = core.NewBasicChecked(core.SerialMemory, cfg)
-	case "nonseg":
-		m, err = core.NewBasicChecked(core.NonSegmented, cfg)
-	case "cray":
-		m, err = core.NewBasicChecked(core.CRAYLike, cfg)
-	case "scoreboard":
-		m, err = core.NewScoreboardChecked(cfg)
-	case "tomasulo":
-		m, err = core.NewTomasuloChecked(cfg.WithRUU(*stations))
-	case "multi":
-		m, err = core.NewMultiIssueChecked(cfg)
-	case "ooo":
-		m, err = core.NewMultiIssueOOOChecked(cfg)
-	case "ruu":
-		m, err = core.NewRUUChecked(cfg)
-	case "vector":
-		m, err = core.NewVectorChecked(cfg)
-	default:
-		fail(fmt.Errorf("unknown machine %q", *machine))
+	if kind == "tomasulo" {
+		cfg = cfg.WithRUU(*stations) // the constructor reads stations from RUUSize
 	}
+	m, err := core.New(kind, cfg)
 	if err != nil {
 		fail(err)
 	}
 
-	if strings.ToLower(*machine) == "vector" && *traceIn == "" {
+	if kind == "vector" && *traceIn == "" {
 		// The vector machine runs the vectorized codings.
 		var vks []*loops.Kernel
 		for _, k := range kernels {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mfup/internal/machdef"
 )
 
 // TestCommandLineTools builds and exercises the four binaries end to
@@ -37,6 +39,12 @@ func TestCommandLineTools(t *testing.T) {
 	}
 
 	mfusim := build("mfusim")
+	// The CLI accepts exactly machdef's machine vocabulary.
+	for _, kind := range machdef.Kinds() {
+		if out := runBin(mfusim, "-machine", kind, "-loops", "1"); !strings.Contains(out, "LFK 1") {
+			t.Errorf("mfusim -machine %s output unexpected:\n%s", kind, out)
+		}
+	}
 	out := runBin(mfusim, "-machine", "cray", "-loops", "5,12")
 	if !strings.Contains(out, "LFK 5") || !strings.Contains(out, "harmonic mean") {
 		t.Errorf("mfusim output unexpected:\n%s", out)

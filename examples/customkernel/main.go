@@ -86,6 +86,15 @@ loop:
 `, xBase, yBase, n/4, qAddr)
 
 func main() {
+	cfg := mfup.M11BR5
+	crayM, err := mfup.New("cray", cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ruuM, err := mfup.New("ruu", cfg.WithIssue(4, mfup.BusN).WithRUU(50))
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, v := range []struct{ name, src string }{
 		{"simple", simple},
 		{"unrolled x4", unrolled},
@@ -106,9 +115,8 @@ func main() {
 		fmt.Printf("== %s: %d dynamic instructions, result %.6f ==\n",
 			v.name, tr.Len(), m.Float(qAddr))
 
-		cfg := mfup.M11BR5
-		cray := mfup.NewBasic(mfup.CRAYLike, cfg).Run(tr)
-		ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr)
+		cray := crayM.Run(tr)
+		ruu := ruuM.Run(tr)
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure)
 		fmt.Printf("CRAY-like single issue:  %.3f/cycle\n", cray.IssueRate())
 		fmt.Printf("RUU 4 units, 50 entries: %.3f/cycle\n", ruu.IssueRate())

@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mfup"
 )
@@ -32,7 +33,10 @@ func main() {
 		for _, kind := range []mfup.BusKind{mfup.BusN, mfup.Bus1} {
 			for _, units := range []int{1, 2, 3, 4} {
 				for _, size := range []int{10, 20, 40, 80} {
-					m := mfup.NewRUU(cfg.WithIssue(units, kind).WithRUU(size))
+					m, err := mfup.New("ruu", cfg.WithIssue(units, kind).WithRUU(size))
+					if err != nil {
+						log.Fatal(err)
+					}
 					p := point{units: units, size: size, kind: kind, rate: harmonic(m, kernels)}
 					pts = append(pts, p)
 					if p.rate > best.rate {

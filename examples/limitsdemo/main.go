@@ -19,6 +19,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mfup"
 )
@@ -54,11 +55,19 @@ func main() {
 
 	fmt.Println("\nHow close do real machines come? (M11BR5)")
 	cfg := mfup.M11BR5
+	crayM, err := mfup.New("cray", cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ruuM, err := mfup.New("ruu", cfg.WithIssue(4, mfup.BusN).WithRUU(100))
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, k := range []*mfup.Kernel{rec, ind} {
 		tr := k.SharedTrace()
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure).Actual
-		cray := mfup.NewBasic(mfup.CRAYLike, cfg).Run(tr).IssueRate()
-		ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(100)).Run(tr).IssueRate()
+		cray := crayM.Run(tr).IssueRate()
+		ruu := ruuM.Run(tr).IssueRate()
 		fmt.Printf("%-34s limit %.3f   CRAY-like %.3f (%2.0f%%)   RUU4/100 %.3f (%2.0f%%)\n",
 			k, lim, cray, 100*cray/lim, ruu, 100*ruu/lim)
 	}

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"mfup"
 )
@@ -24,11 +25,16 @@ func main() {
 		fmt.Printf("%9s", cfg.Name())
 	}
 	fmt.Println()
-	for _, org := range mfup.Organizations() {
-		fmt.Printf("%-14s", org)
-		for _, cfg := range mfup.BaseConfigs() {
-			r := mfup.NewBasic(org, cfg).Run(tr)
-			fmt.Printf("%9.3f", r.IssueRate())
+	for _, kind := range []string{"simple", "serialmem", "nonseg", "cray"} {
+		for i, cfg := range mfup.BaseConfigs() {
+			m, err := mfup.New(kind, cfg)
+			if err != nil {
+				log.Fatal(err)
+			}
+			if i == 0 {
+				fmt.Printf("%-14s", m.Name())
+			}
+			fmt.Printf("%9.3f", m.Run(tr).IssueRate())
 		}
 		fmt.Println()
 	}
@@ -38,7 +44,11 @@ func main() {
 	fmt.Println()
 	for _, cfg := range mfup.BaseConfigs() {
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure)
-		ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr)
+		m, err := mfup.New("ruu", cfg.WithIssue(4, mfup.BusN).WithRUU(50))
+		if err != nil {
+			log.Fatal(err)
+		}
+		ruu := m.Run(tr)
 		fmt.Printf("%s: dataflow limit %.3f, RUU(4 units, 50 entries) achieves %.3f (%.0f%%)\n",
 			cfg.Name(), lim.Actual, ruu.IssueRate(), 100*ruu.IssueRate()/lim.Actual)
 	}

@@ -20,8 +20,14 @@ import (
 
 func main() {
 	cfg := mfup.M11BR5
-	cray := mfup.NewBasic(mfup.CRAYLike, cfg)
-	ruu := mfup.NewRUU(cfg.WithIssue(2, mfup.BusN).WithRUU(40))
+	cray, err := mfup.New("cray", cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ruu, err := mfup.New("ruu", cfg.WithIssue(2, mfup.BusN).WithRUU(40))
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-38s %10s %10s %7s %12s %12s\n",
 		"kernel", "cray", "cray+sched", "gain", "ruu", "ruu+sched")

@@ -26,9 +26,18 @@ import (
 
 func main() {
 	cfg := mfup.M11BR5
-	cray := mfup.NewBasic(mfup.CRAYLike, cfg)
-	ruu := mfup.NewRUU(cfg.WithIssue(4, mfup.BusN).WithRUU(100))
-	vec := mfup.NewVector(cfg)
+	cray, err := mfup.New("cray", cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	ruu, err := mfup.New("ruu", cfg.WithIssue(4, mfup.BusN).WithRUU(100))
+	if err != nil {
+		log.Fatal(err)
+	}
+	vec, err := mfup.New("vector", cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("%-34s %12s %12s %12s %10s %10s\n",
 		"kernel (cycles, M11BR5)", "scalar CRAY", "RUU 4/100", "vector", "vec/cray", "vec/ruu")

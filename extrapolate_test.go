@@ -21,19 +21,19 @@ type matrixMachine struct {
 	mk   func(cfg mfup.Config) mfup.Machine
 }
 
-func matrixMachines() []matrixMachine {
+func matrixMachines(t testing.TB) []matrixMachine {
 	wide := func(cfg mfup.Config) mfup.Config { return cfg.WithIssue(2, bus.BusN) }
 	return []matrixMachine{
-		{"Simple", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.Simple, cfg) }},
-		{"SerialMemory", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.SerialMemory, cfg) }},
-		{"NonSegmented", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.NonSegmented, cfg) }},
-		{"CRAYLike", func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.CRAYLike, cfg) }},
-		{"Scoreboard", func(cfg mfup.Config) mfup.Machine { return mfup.NewScoreboard(cfg) }},
-		{"Tomasulo", func(cfg mfup.Config) mfup.Machine { return mfup.NewTomasulo(cfg) }},
-		{"MultiIssue", func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssue(wide(cfg)) }},
-		{"MultiIssueOOO", func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssueOOO(wide(cfg)) }},
-		{"RUU", func(cfg mfup.Config) mfup.Machine { return mfup.NewRUU(wide(cfg).WithRUU(20)) }},
-		{"Vector", func(cfg mfup.Config) mfup.Machine { return mfup.NewVector(cfg) }},
+		{"Simple", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "simple", cfg) }},
+		{"SerialMemory", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "serialmem", cfg) }},
+		{"NonSegmented", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "nonseg", cfg) }},
+		{"CRAYLike", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "cray", cfg) }},
+		{"Scoreboard", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "scoreboard", cfg) }},
+		{"Tomasulo", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "tomasulo", cfg) }},
+		{"MultiIssue", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "multi", wide(cfg)) }},
+		{"MultiIssueOOO", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "ooo", wide(cfg)) }},
+		{"RUU", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "ruu", wide(cfg).WithRUU(20)) }},
+		{"Vector", func(cfg mfup.Config) mfup.Machine { return mustNew(t, "vector", cfg) }},
 	}
 }
 
@@ -88,7 +88,7 @@ func TestExtrapolationMatrix(t *testing.T) {
 	}
 
 	for _, cfg := range []mfup.Config{mfup.M11BR5, mfup.M5BR2} {
-		for _, mm := range matrixMachines() {
+		for _, mm := range matrixMachines(t) {
 			cfg, mm := cfg, mm
 			t.Run(cfg.Name()+"/"+mm.name, func(t *testing.T) {
 				t.Parallel()
@@ -197,7 +197,7 @@ func TestExtrapolationFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := mfup.Extrapolate(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)).
+	e := mfup.Extrapolate(mustNew(t, "cray", mfup.M11BR5)).
 		WithVirtual(map[string]int64{k.SharedTrace().Name: vw})
 	r, err := e.RunChecked(k.SharedTrace(), mfup.DefaultSimLimits())
 	if err != nil {

@@ -73,16 +73,6 @@ func Assemble(name, source string) (*isa.Program, error) {
 	return a.prog, nil
 }
 
-// MustAssemble is Assemble for statically known-good sources such as
-// the built-in Livermore kernels; it panics on error.
-func MustAssemble(name, source string) *isa.Program {
-	p, err := Assemble(name, source)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type assembler struct {
 	prog *isa.Program
 	name string

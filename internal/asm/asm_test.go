@@ -234,15 +234,6 @@ func asError(err error, target **Error) bool {
 	return ok
 }
 
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAssemble did not panic on bad source")
-		}
-	}()
-	MustAssemble("bad", "J nowhere")
-}
-
 // TestDisassembleRoundTrip checks that disassembled output assembles
 // back to an identical program, for randomly generated programs.
 // This is the assembler's core correctness property: String/

@@ -33,20 +33,31 @@ func livelockTrace(t *testing.T) *trace.Trace {
 	return tr
 }
 
+// mustNew builds the machine of the given kind, failing the test if
+// the configuration is rejected.
+func mustNew(tb testing.TB, kind string, cfg Config) Machine {
+	tb.Helper()
+	m, err := New(kind, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 // everyMachine returns one instance of every machine model under cfg.
-func everyMachine(cfg Config) []Machine {
+func everyMachine(t testing.TB, cfg Config) []Machine {
 	w := cfg.WithIssue(2, bus.BusN)
 	return []Machine{
-		NewBasic(Simple, cfg),
-		NewBasic(SerialMemory, cfg),
-		NewBasic(NonSegmented, cfg),
-		NewBasic(CRAYLike, cfg),
-		NewScoreboard(cfg),
-		NewTomasulo(cfg),
-		NewMultiIssue(w),
-		NewMultiIssueOOO(w),
-		NewRUU(w.WithRUU(10)),
-		NewVector(cfg),
+		mustNew(t, "simple", cfg),
+		mustNew(t, "serialmem", cfg),
+		mustNew(t, "nonseg", cfg),
+		mustNew(t, "cray", cfg),
+		mustNew(t, "scoreboard", cfg),
+		mustNew(t, "tomasulo", cfg),
+		mustNew(t, "multi", w),
+		mustNew(t, "ooo", w),
+		mustNew(t, "ruu", w.WithRUU(10)),
+		mustNew(t, "vector", cfg),
 	}
 }
 
@@ -56,7 +67,7 @@ func everyMachine(cfg Config) []Machine {
 func TestCycleBudgetFiresOnEveryMachine(t *testing.T) {
 	tr := livelockTrace(t)
 	const budget = 500
-	for _, m := range everyMachine(M11BR5) {
+	for _, m := range everyMachine(t, M11BR5) {
 		_, err := m.RunChecked(tr, Limits{MaxCycles: budget})
 		if err == nil {
 			t.Errorf("%s: ran to completion under a %d-cycle budget", m.Name(), budget)
@@ -93,9 +104,9 @@ func TestStallWatchdogFiresOnCycleSteppedMachines(t *testing.T) {
 	w := cfg.WithIssue(2, bus.BusN)
 	const stall = 10_000
 	for _, m := range []Machine{
-		NewTomasulo(cfg),
-		NewMultiIssueOOO(w),
-		NewRUU(w.WithRUU(10)),
+		mustNew(t, "tomasulo", cfg),
+		mustNew(t, "ooo", w),
+		mustNew(t, "ruu", w.WithRUU(10)),
 	} {
 		_, err := m.RunChecked(tr, Limits{StallCycles: stall})
 		if err == nil {
@@ -123,7 +134,7 @@ func TestStallWatchdogFiresOnCycleSteppedMachines(t *testing.T) {
 // checked run with KindDeadline.
 func TestDeadlineFires(t *testing.T) {
 	tr := livelockTrace(t)
-	m := NewBasic(CRAYLike, M11BR5)
+	m := mustNew(t, "cray", M11BR5)
 	_, err := m.RunChecked(tr, Limits{Deadline: time.Now().Add(-time.Second)})
 	var serr *SimError
 	if !errors.As(err, &serr) || serr.Kind != simerr.KindDeadline {
@@ -138,7 +149,7 @@ func TestDeadlineFires(t *testing.T) {
 func TestCheckedMatchesLegacyRun(t *testing.T) {
 	tr := livelockTrace(t)
 	for _, cfg := range BaseConfigs() {
-		for _, m := range everyMachine(cfg) {
+		for _, m := range everyMachine(t, cfg) {
 			want := m.Run(tr)
 			got, err := m.RunChecked(tr, Limits{})
 			if err != nil {
@@ -159,26 +170,27 @@ func TestCheckedMatchesLegacyRun(t *testing.T) {
 	}
 }
 
-// TestCheckedConstructorsRejectBadConfigs: every checked constructor
-// returns an error (instead of panicking) on an invalid
-// configuration.
-func TestCheckedConstructorsRejectBadConfigs(t *testing.T) {
+// TestNewRejectsBadConfigs: New returns an error (instead of
+// panicking) on an invalid configuration for every machine family.
+func TestNewRejectsBadConfigs(t *testing.T) {
 	bad := Config{MemLatency: 0, BranchLatency: 5}
 	zeroUnits := Config{MemLatency: 11, BranchLatency: 5, IssueUnits: 0}
-	for name, build := range map[string]func() (Machine, error){
-		"basic bad latency":   func() (Machine, error) { return NewBasicChecked(CRAYLike, bad) },
-		"basic bad org":       func() (Machine, error) { return NewBasicChecked(Organization(99), M11BR5) },
-		"scoreboard":          func() (Machine, error) { return NewScoreboardChecked(bad) },
-		"tomasulo":            func() (Machine, error) { return NewTomasuloChecked(bad) },
-		"multi zero units":    func() (Machine, error) { return NewMultiIssueChecked(zeroUnits) },
-		"ooo zero units":      func() (Machine, error) { return NewMultiIssueOOOChecked(zeroUnits) },
-		"ruu size < units":    func() (Machine, error) { return NewRUUChecked(M11BR5.WithIssue(4, bus.BusN).WithRUU(2)) },
-		"vector bad latency":  func() (Machine, error) { return NewVectorChecked(bad) },
-		"multi bad interlink": func() (Machine, error) { return NewMultiIssueChecked(M11BR5.WithIssue(2, bus.Kind(99))) },
+	for _, c := range []struct {
+		name, kind string
+		cfg        Config
+	}{
+		{"basic bad latency", "cray", bad},
+		{"basic bad kind", "basic", M11BR5},
+		{"scoreboard", "scoreboard", bad},
+		{"tomasulo", "tomasulo", bad},
+		{"multi zero units", "multi", zeroUnits},
+		{"ooo zero units", "ooo", zeroUnits},
+		{"ruu size < units", "ruu", M11BR5.WithIssue(4, bus.BusN).WithRUU(2)},
+		{"vector bad latency", "vector", bad},
+		{"multi bad interlink", "multi", M11BR5.WithIssue(2, bus.Kind(99))},
 	} {
-		m, err := build()
-		if err == nil {
-			t.Errorf("%s: no error (got machine %v)", name, m.Name())
+		if m, err := New(c.kind, c.cfg); err == nil {
+			t.Errorf("%s: no error (got machine %v)", c.name, m.Name())
 		}
 	}
 }

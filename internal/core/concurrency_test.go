@@ -18,12 +18,12 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 	tr := loops.All()[0].SharedTrace()
 	cfg := M11BR5
 	makers := []func() Machine{
-		func() Machine { return NewBasic(CRAYLike, cfg) },
-		func() Machine { return NewMultiIssue(cfg.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssueOOO(cfg.WithIssue(4, bus.Bus1)) },
-		func() Machine { return NewScoreboard(cfg) },
-		func() Machine { return NewTomasulo(cfg) },
-		func() Machine { return NewRUU(cfg.WithIssue(2, bus.BusN).WithRUU(20)) },
+		func() Machine { return mustNew(t, "cray", cfg) },
+		func() Machine { return mustNew(t, "multi", cfg.WithIssue(4, bus.BusN)) },
+		func() Machine { return mustNew(t, "ooo", cfg.WithIssue(4, bus.Bus1)) },
+		func() Machine { return mustNew(t, "scoreboard", cfg) },
+		func() Machine { return mustNew(t, "tomasulo", cfg) },
+		func() Machine { return mustNew(t, "ruu", cfg.WithIssue(2, bus.BusN).WithRUU(20)) },
 	}
 	want := make([]Result, len(makers))
 	for i, mk := range makers {
@@ -61,12 +61,12 @@ func TestMachineReusableAfterRun(t *testing.T) {
 	tr := loops.All()[0].SharedTrace()
 	cfg := M5BR2
 	machines := []Machine{
-		NewBasic(Simple, cfg),
-		NewMultiIssue(cfg.WithIssue(2, bus.BusN)),
-		NewMultiIssueOOO(cfg.WithIssue(2, bus.BusN)),
-		NewScoreboard(cfg),
-		NewTomasulo(cfg),
-		NewRUU(cfg.WithIssue(1, bus.BusN).WithRUU(10)),
+		mustNew(t, "simple", cfg),
+		mustNew(t, "multi", cfg.WithIssue(2, bus.BusN)),
+		mustNew(t, "ooo", cfg.WithIssue(2, bus.BusN)),
+		mustNew(t, "scoreboard", cfg),
+		mustNew(t, "tomasulo", cfg),
+		mustNew(t, "ruu", cfg.WithIssue(1, bus.BusN).WithRUU(10)),
 	}
 	for _, m := range machines {
 		first := m.Run(tr)

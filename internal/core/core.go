@@ -143,7 +143,7 @@ func (c Config) newPool() *fu.Pool {
 // machines: IssueUnits stations under the Bus organization, with
 // BusCount shared crossbar buses (0 = one per station).
 func (c Config) newBusTracker() (*bus.Tracker, error) {
-	return bus.NewTrackerCheckedBuses(c.Bus, c.IssueUnits, c.BusCount)
+	return bus.NewTracker(c.Bus, c.IssueUnits, c.BusCount)
 }
 
 // WithIssue returns c with the multiple-issue parameters set.
@@ -173,8 +173,7 @@ func (c Config) WithMemBanks(banks int) Config {
 }
 
 // Validate reports whether the configuration is structurally
-// possible. It is the error-returning form used by the checked
-// constructors; the panicking constructors assert it via validate.
+// possible. New checks it before building any machine.
 func (c Config) Validate() error {
 	if c.MemLatency <= 0 {
 		return fmt.Errorf("core: config %s: memory latency must be positive, got %d", c.Name(), c.MemLatency)
@@ -206,14 +205,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// validate panics on structurally impossible configurations; it is
-// the compatibility wrapper the legacy constructors use.
-func (c Config) validate() {
-	if err := c.Validate(); err != nil {
-		panic(err.Error())
-	}
 }
 
 // Result reports one simulation run.
@@ -258,25 +249,65 @@ func (r Result) String() string {
 // are shared freely: a Trace and its Prepared decode cache are
 // immutable during simulation, so any number of machines may run the
 // same trace concurrently.
-// Observability contract: SetProbe attaches a probe (internal/probe)
-// that the machine notifies of issues, attributed stalls, writebacks,
-// and branch resolutions during subsequent runs; SetProbe(nil)
-// detaches it. SetRecorder likewise attaches an event recorder
-// (internal/events) capturing each instruction's lifecycle — fetch,
-// buffer allocation, issue, functional-unit occupancy, result-bus
-// acquisition, writeback, branch resolution, commit — with cycle
-// timestamps; SetRecorder(nil) detaches it. Probe and recorder are
-// independent: either, both, or neither may be attached. Neither ever
-// changes timing — simulated cycle counts are identical observed and
-// unobserved — and each nil default costs only a predicted-not-taken
-// branch per event site (machines that duplicate their hot loop for
-// observation fork once per run instead). Like the machine itself, an
-// attached probe or recorder is driven from the running goroutine and
-// must not be shared across concurrently running machines.
+// Observability contract: SetProbe attaches stall-attribution
+// counters (internal/probe) that the machine feeds with issues,
+// attributed stalls, writebacks, and branch resolutions during
+// subsequent runs; SetProbe(nil) detaches them. SetRecorder likewise
+// attaches an event recorder (internal/events) capturing each
+// instruction's lifecycle — fetch, buffer allocation, issue,
+// functional-unit occupancy, result-bus acquisition, writeback,
+// branch resolution, commit — with cycle timestamps; SetRecorder(nil)
+// detaches it. Counters and recorder are independent: either, both,
+// or neither may be attached. They stay two hooks because they differ
+// in what they allow: counters survive steady-state extrapolation
+// (Extrapolator), while a recorder forces every cycle to be
+// simulated. Neither ever changes timing — simulated cycle counts are
+// identical observed and unobserved — and each nil default costs only
+// a predicted-not-taken branch per event site (machines that
+// duplicate their hot loop for observation fork once per run
+// instead). Like the machine itself, attached counters or a recorder
+// are driven from the running goroutine and must not be shared
+// across concurrently running machines.
 type Machine interface {
 	Name() string
 	Run(t *trace.Trace) Result
 	RunChecked(t *trace.Trace, lim Limits) (Result, error)
-	SetProbe(p probe.Probe)
+	SetProbe(p *probe.Counters)
 	SetRecorder(r *events.Recorder)
+}
+
+// builders maps each machine kind to the constructor of its family.
+// The names are internal/machdef's kind names.
+var builders = map[string]func(Config) (Machine, error){
+	"simple":     func(c Config) (Machine, error) { return newBasic(Simple, c) },
+	"serialmem":  func(c Config) (Machine, error) { return newBasic(SerialMemory, c) },
+	"nonseg":     func(c Config) (Machine, error) { return newBasic(NonSegmented, c) },
+	"cray":       func(c Config) (Machine, error) { return newBasic(CRAYLike, c) },
+	"scoreboard": newScoreboard,
+	"tomasulo":   newTomasulo,
+	"multi":      newMultiIssue,
+	"ooo":        newMultiIssueOOO,
+	"ruu":        newRUU,
+	"vector":     newVector,
+}
+
+// New builds the machine of the given kind from cfg: simple,
+// serialmem, nonseg and cray are the four §3 organizations;
+// scoreboard and tomasulo the §3.3 dependency-resolution schemes;
+// multi, ooo and ruu the §5.1-5.3 multiple-issue machines (set
+// IssueUnits and Bus with Config.WithIssue, the RUU size with
+// Config.WithRUU); vector the CRAY-1-style vector extension, the only
+// machine that accepts vector traces. For tomasulo a positive RUUSize
+// sets the reservation stations per unit. Kind names are exact and
+// lower case; an unknown kind or an invalid configuration is an
+// error.
+func New(kind string, cfg Config) (Machine, error) {
+	build, ok := builders[kind]
+	if !ok {
+		return nil, fmt.Errorf("core: unknown machine %q", kind)
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	return build(cfg)
 }

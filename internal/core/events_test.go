@@ -19,24 +19,24 @@ var updateGolden = flag.Bool("update", false, "rewrite golden trace fixtures")
 
 // traceMachines is the event-recording test matrix: every machine
 // model, including the banked-memory and perfect-branch extensions.
-func traceMachines() []func() Machine {
+func traceMachines(t testing.TB) []func() Machine {
 	return []func() Machine{
-		func() Machine { return NewBasic(Simple, M11BR5) },
-		func() Machine { return NewBasic(SerialMemory, M11BR5) },
-		func() Machine { return NewBasic(NonSegmented, M5BR2) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5.WithPerfectBranches()) },
-		func() Machine { return NewBasic(CRAYLike, M11BR5.WithMemBanks(4)) },
-		func() Machine { return NewScoreboard(M11BR5) },
-		func() Machine { return NewTomasulo(M5BR5) },
-		func() Machine { return NewMultiIssue(M11BR5.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssue(M5BR2.WithIssue(3, bus.Bus1)) },
-		func() Machine { return NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN)) },
-		func() Machine { return NewMultiIssueOOO(M5BR2.WithIssue(3, bus.Bus1)) },
-		func() Machine { return NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN).WithMemBanks(2)) },
-		func() Machine { return NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(16)) },
-		func() Machine { return NewRUU(M5BR5.WithIssue(4, bus.Bus1).WithRUU(30)) },
-		func() Machine { return NewVector(M11BR5) },
+		func() Machine { return mustNew(t, "simple", M11BR5) },
+		func() Machine { return mustNew(t, "serialmem", M11BR5) },
+		func() Machine { return mustNew(t, "nonseg", M5BR2) },
+		func() Machine { return mustNew(t, "cray", M11BR5) },
+		func() Machine { return mustNew(t, "cray", M11BR5.WithPerfectBranches()) },
+		func() Machine { return mustNew(t, "cray", M11BR5.WithMemBanks(4)) },
+		func() Machine { return mustNew(t, "scoreboard", M11BR5) },
+		func() Machine { return mustNew(t, "tomasulo", M5BR5) },
+		func() Machine { return mustNew(t, "multi", M11BR5.WithIssue(4, bus.BusN)) },
+		func() Machine { return mustNew(t, "multi", M5BR2.WithIssue(3, bus.Bus1)) },
+		func() Machine { return mustNew(t, "ooo", M11BR5.WithIssue(4, bus.BusN)) },
+		func() Machine { return mustNew(t, "ooo", M5BR2.WithIssue(3, bus.Bus1)) },
+		func() Machine { return mustNew(t, "ooo", M11BR5.WithIssue(4, bus.BusN).WithMemBanks(2)) },
+		func() Machine { return mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(16)) },
+		func() Machine { return mustNew(t, "ruu", M5BR5.WithIssue(4, bus.Bus1).WithRUU(30)) },
+		func() Machine { return mustNew(t, "vector", M11BR5) },
 	}
 }
 
@@ -49,7 +49,7 @@ func traceMachines() []func() Machine {
 func TestTraceInvariantAllMachines(t *testing.T) {
 	for _, k := range loops.All() {
 		tr := k.SharedTrace()
-		for _, mk := range traceMachines() {
+		for _, mk := range traceMachines(t) {
 			m := mk()
 			bare, err := m.RunChecked(tr, Limits{})
 			if err != nil {
@@ -209,7 +209,7 @@ func TestTraceGoldenChromeCRAY(t *testing.T) {
 	tr := b.trace()
 	tr.Name = "golden"
 
-	m := NewBasic(CRAYLike, M11BR5)
+	m := mustNew(t, "cray", M11BR5)
 	rec := events.NewRecorder(64)
 	m.SetRecorder(rec)
 	m.Run(tr)
@@ -238,10 +238,10 @@ func TestTraceGoldenChromeCRAY(t *testing.T) {
 	}
 }
 
-// BenchmarkTraceOverhead compares the nil-recorder hot path against a
-// run with a recorder attached; CI greps the nil case to guard the
-// zero-overhead contract, exactly as BenchmarkProbeOverhead does for
-// the probe layer.
+// BenchmarkTraceOverhead measures the nil-recorder hot path next to a
+// run with a recorder attached. Like BenchmarkProbeOverhead, CI runs
+// it only as a smoke test; the zero-overhead check is the paired A/B
+// protocol of DESIGN.md §8.
 func BenchmarkTraceOverhead(b *testing.B) {
 	k, err := loops.Get(1)
 	if err != nil {
@@ -249,14 +249,14 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	}
 	tr := k.SharedTrace()
 	b.Run("nil", func(b *testing.B) {
-		m := NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))
+		m := mustNew(b, "ooo", M11BR5.WithIssue(4, bus.BusN))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			m.Run(tr)
 		}
 	})
 	b.Run("recorder", func(b *testing.B) {
-		m := NewMultiIssueOOO(M11BR5.WithIssue(4, bus.BusN))
+		m := mustNew(b, "ooo", M11BR5.WithIssue(4, bus.BusN))
 		rec := events.NewRecorder(0)
 		m.SetRecorder(rec)
 		b.ResetTimer()

@@ -142,7 +142,7 @@ func CanExtrapolate(t *trace.Trace) error {
 // reusable but not safe for concurrent use.
 type Extrapolator struct {
 	inner      Machine
-	probe      probe.Probe
+	probe      *probe.Counters
 	rec        *events.Recorder
 	extra      map[string]int64 // virtual iterations to add, by trace name
 	bestEffort bool
@@ -191,7 +191,7 @@ func (e *Extrapolator) Name() string { return e.inner.Name() }
 // SetProbe attaches p to subsequent runs. During an engaged run the
 // wrapped machine drives only the engine's internal reference
 // counters; p receives the exact extrapolated totals instead.
-func (e *Extrapolator) SetProbe(p probe.Probe) { e.probe = p }
+func (e *Extrapolator) SetProbe(p *probe.Counters) { e.probe = p }
 
 // SetRecorder attaches r to subsequent runs. Lifecycle events exist
 // only for simulated instructions, so an attached recorder disables
@@ -238,14 +238,6 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	}
 	if e.rec != nil {
 		return fallback("event recorder attached: every cycle must be simulated")
-	}
-	var uc *probe.Counters
-	if e.probe != nil {
-		c, ok := e.probe.(*probe.Counters)
-		if !ok {
-			return fallback("unsupported probe type")
-		}
-		uc = c
 	}
 	prep := t.Prepared()
 	if prep.Err != nil {
@@ -377,8 +369,8 @@ func (e *Extrapolator) tryExtrapolate(t *trace.Trace, lim Limits, extraIters int
 	if err := g.Over(cycles, instrs); err != nil {
 		return Result{}, err, true
 	}
-	if uc != nil {
-		uc.AddExtrapolated(lo.c, hi.c, times)
+	if e.probe != nil {
+		e.probe.AddExtrapolated(lo.c, hi.c, times)
 	}
 	return Result{
 		Machine:      lo.r.Machine,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mfup/internal/events"
-	"mfup/internal/isa"
 	"mfup/internal/loops"
 	"mfup/internal/probe"
 	"mfup/internal/simerr"
@@ -33,12 +32,12 @@ func TestExtrapolatorEngages(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := k.SharedTrace()
-	bare := NewBasic(CRAYLike, M11BR5)
+	bare := mustNew(t, "cray", M11BR5)
 	want, err := bare.RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(mustNew(t, "cray", M11BR5))
 	got, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestExtrapolatorEngages(t *testing.T) {
 // TestExtrapolatorIdempotentWrap checks that wrapping an Extrapolator
 // returns it unchanged rather than stacking engines.
 func TestExtrapolatorIdempotentWrap(t *testing.T) {
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(mustNew(t, "cray", M11BR5))
 	if Extrapolate(e) != e {
 		t.Error("double wrap built a second engine")
 	}
@@ -75,11 +74,11 @@ func TestExtrapolatorIdempotentWrap(t *testing.T) {
 // machine, stats reporting why.
 func TestExtrapolatorFallbackNoPeriod(t *testing.T) {
 	tr := kernelTrace(t, 13)
-	want, err := NewBasic(CRAYLike, M11BR5).RunChecked(tr, DefaultLimits())
+	want, err := mustNew(t, "cray", M11BR5).RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(mustNew(t, "cray", M11BR5))
 	got, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestExtrapolatorFallbackNoPeriod(t *testing.T) {
 func TestExtrapolatorFallbackRecorder(t *testing.T) {
 	tr := kernelTrace(t, 1)
 	ref := events.NewRecorder(0)
-	bare := NewBasic(CRAYLike, M11BR5)
+	bare := mustNew(t, "cray", M11BR5)
 	bare.SetRecorder(ref)
 	if _, err := bare.RunChecked(tr, DefaultLimits()); err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestExtrapolatorFallbackRecorder(t *testing.T) {
 	bare.SetRecorder(nil)
 
 	rec := events.NewRecorder(0)
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(mustNew(t, "cray", M11BR5))
 	e.SetRecorder(rec)
 	if _, err := e.RunChecked(tr, DefaultLimits()); err != nil {
 		t.Fatal(err)
@@ -119,51 +118,19 @@ func TestExtrapolatorFallbackRecorder(t *testing.T) {
 	}
 }
 
-// countingProbe is a probe.Probe that is not a *probe.Counters: the
-// engine cannot extrapolate through it and must fall back, still
-// driving it for the full run.
-type countingProbe struct{ issued int64 }
-
-func (p *countingProbe) Begin(machine, trace string, width, capacity int) {}
-func (p *countingProbe) Issue(cycle int64, n int64)                       { p.issued += n }
-func (p *countingProbe) Stall(cycle int64, r probe.Reason, slots int64)   {}
-func (p *countingProbe) Writeback(cycle int64, u isa.Unit, busy int64)    {}
-func (p *countingProbe) BranchResolve(cycle int64)                        {}
-func (p *countingProbe) Occupancy(level int, cycles int64)                {}
-func (p *countingProbe) End(cycles int64)                                 {}
-
-// TestExtrapolatorFallbackProbeType checks the unsupported-probe
-// fallback: results unchanged, the caller's probe sees the whole run.
-func TestExtrapolatorFallbackProbeType(t *testing.T) {
-	tr := kernelTrace(t, 1)
-	var p countingProbe
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
-	e.SetProbe(&p)
-	r, err := e.RunChecked(tr, DefaultLimits())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Stats(); s.Engaged || !strings.Contains(s.Reason, "probe") {
-		t.Errorf("stats = %+v, want probe-type fallback", s)
-	}
-	if p.issued != r.Instructions {
-		t.Errorf("probe saw %d issues, run reported %d instructions", p.issued, r.Instructions)
-	}
-}
-
 // TestExtrapolatorBudget checks that skipped iterations still count
 // against the cycle budget: a budget the full run would blow must
 // fail the extrapolated run with the same structured error, even
 // though the engine never simulates past it.
 func TestExtrapolatorBudget(t *testing.T) {
 	tr := kernelTrace(t, 1)
-	full, err := NewBasic(CRAYLike, M11BR5).RunChecked(tr, DefaultLimits())
+	full, err := mustNew(t, "cray", M11BR5).RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
 	lim := DefaultLimits()
 	lim.MaxCycles = full.Cycles - 1
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5))
+	e := Extrapolate(mustNew(t, "cray", M11BR5))
 	_, err = e.RunChecked(tr, lim)
 	se, ok := err.(*SimError)
 	if !ok || se.Kind != simerr.KindCycleBudget {
@@ -198,7 +165,7 @@ func TestExtrapolatorVirtual(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{M11BR5, M5BR2} {
-		bare := NewBasic(CRAYLike, cfg)
+		bare := mustNew(t, "cray", cfg)
 		var wantC probe.Counters
 		bare.SetProbe(&wantC)
 		want, err := bare.RunChecked(kBig.SharedTrace(), DefaultLimits())
@@ -207,7 +174,7 @@ func TestExtrapolatorVirtual(t *testing.T) {
 		}
 		bare.SetProbe(nil)
 
-		e := Extrapolate(NewBasic(CRAYLike, cfg)).
+		e := Extrapolate(mustNew(t, "cray", cfg)).
 			WithVirtual(map[string]int64{kSmall.SharedTrace().Name: vw})
 		var gotC probe.Counters
 		e.SetProbe(&gotC)
@@ -233,7 +200,7 @@ func TestExtrapolatorVirtual(t *testing.T) {
 // simulating fewer iterations than asked.
 func TestExtrapolatorVirtualStrict(t *testing.T) {
 	tr := kernelTrace(t, 13) // no period
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5)).
+	e := Extrapolate(mustNew(t, "cray", M11BR5)).
 		WithVirtual(map[string]int64{tr.Name: 1000})
 	_, err := e.RunChecked(tr, DefaultLimits())
 	se, ok := err.(*SimError)
@@ -247,11 +214,11 @@ func TestExtrapolatorVirtualStrict(t *testing.T) {
 // full simulation of the materialized trace instead of failing.
 func TestExtrapolatorVirtualBestEffort(t *testing.T) {
 	tr := kernelTrace(t, 13)
-	want, err := NewBasic(CRAYLike, M11BR5).RunChecked(tr, DefaultLimits())
+	want, err := mustNew(t, "cray", M11BR5).RunChecked(tr, DefaultLimits())
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := Extrapolate(NewBasic(CRAYLike, M11BR5)).
+	e := Extrapolate(mustNew(t, "cray", M11BR5)).
 		WithVirtual(map[string]int64{tr.Name: 1000}).BestEffort()
 	got, err := e.RunChecked(tr, DefaultLimits())
 	if err != nil {

@@ -32,28 +32,14 @@ type multiIssue struct {
 	bt    *bus.Tracker
 	mem   memScoreboard
 	banks *mem.Banks
-	probe probe.Probe
+	probe *probe.Counters
 	rec   *events.Recorder
 }
 
-// NewMultiIssue builds the §5.1 machine: cfg.IssueUnits stations
+// newMultiIssue builds the §5.1 machine: cfg.IssueUnits stations
 // (>= 1), cfg.Bus interconnect, CRAY-like (fully segmented) units and
-// interleaved memory. It panics on an invalid configuration;
-// NewMultiIssueChecked is the error-returning form.
-func NewMultiIssue(cfg Config) Machine {
-	m, err := NewMultiIssueChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewMultiIssueChecked builds the §5.1 machine, validating the
-// configuration instead of panicking.
-func NewMultiIssueChecked(cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// interleaved memory.
+func newMultiIssue(cfg Config) (Machine, error) {
 	if cfg.IssueUnits < 1 {
 		return nil, fmt.Errorf("core: MultiIssue needs IssueUnits >= 1, got %d", cfg.IssueUnits)
 	}
@@ -81,7 +67,7 @@ func usesResultBus(op *trace.Op) bool { return op.Dst.Valid() }
 
 func (m *multiIssue) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
-func (m *multiIssue) SetProbe(p probe.Probe) { m.probe = p }
+func (m *multiIssue) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *multiIssue) SetRecorder(r *events.Recorder) { m.rec = r }
 

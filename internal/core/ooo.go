@@ -33,26 +33,12 @@ type multiIssueOOO struct {
 	bt    *bus.Tracker
 	mem   memScoreboard
 	banks *mem.Banks
-	probe probe.Probe
+	probe *probe.Counters
 	rec   *events.Recorder
 }
 
-// NewMultiIssueOOO builds the §5.2 machine. It panics on an invalid
-// configuration; NewMultiIssueOOOChecked is the error-returning form.
-func NewMultiIssueOOO(cfg Config) Machine {
-	m, err := NewMultiIssueOOOChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewMultiIssueOOOChecked builds the §5.2 machine, validating the
-// configuration instead of panicking.
-func NewMultiIssueOOOChecked(cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newMultiIssueOOO builds the §5.2 machine.
+func newMultiIssueOOO(cfg Config) (Machine, error) {
 	if cfg.IssueUnits < 1 {
 		return nil, fmt.Errorf("core: MultiIssueOOO needs IssueUnits >= 1, got %d", cfg.IssueUnits)
 	}
@@ -76,7 +62,7 @@ func (m *multiIssueOOO) Name() string {
 
 func (m *multiIssueOOO) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
-func (m *multiIssueOOO) SetProbe(p probe.Probe) { m.probe = p }
+func (m *multiIssueOOO) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *multiIssueOOO) SetRecorder(r *events.Recorder) { m.rec = r }
 
@@ -580,7 +566,7 @@ func (m *multiIssueOOO) scanBufferObserved(t *trace.Trace, p *trace.Prepared, g 
 }
 
 // hazardReason reruns entry i's buffer-hazard scan to name the first
-// blocking dependence, mirroring the scan in scanBufferProbed term
+// blocking dependence, mirroring the scan in scanBufferObserved term
 // for term. Classification lives here so the scan itself carries no
 // per-entry attribution state.
 func (m *multiIssueOOO) hazardReason(t *trace.Trace, p *trace.Prepared, pos, i int, issued []bool) probe.Reason {

@@ -21,11 +21,12 @@ func TestOrganizationOrdering(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, cfg := range core.BaseConfigs() {
 			var prev float64
-			for _, org := range core.Organizations() {
-				r := rate(core.NewBasic(org, cfg), k)
+			for _, kind := range basicKinds {
+				m := mustNew(t, kind, cfg)
+				r := rate(m, k)
 				if r < prev-1e-12 {
 					t.Errorf("%s %s: %s rate %.4f < previous organization %.4f",
-						k, cfg.Name(), org, r, prev)
+						k, cfg.Name(), m.Name(), r, prev)
 				}
 				prev = r
 			}
@@ -37,9 +38,10 @@ func TestOrganizationOrdering(t *testing.T) {
 // instruction per cycle.
 func TestSingleIssueBelowOne(t *testing.T) {
 	for _, k := range loops.All() {
-		for _, org := range core.Organizations() {
-			if r := rate(core.NewBasic(org, core.M5BR2), k); r > 1 {
-				t.Errorf("%s on %s: issue rate %.3f > 1", k, org, r)
+		for _, kind := range basicKinds {
+			m := mustNew(t, kind, core.M5BR2)
+			if r := rate(m, k); r > 1 {
+				t.Errorf("%s on %s: issue rate %.3f > 1", k, m.Name(), r)
 			}
 		}
 	}
@@ -49,11 +51,11 @@ func TestSingleIssueBelowOne(t *testing.T) {
 // M/BR parameters only remove cycles.
 func TestFasterMemoryNeverHurts(t *testing.T) {
 	for _, k := range loops.All() {
-		for _, org := range core.Organizations() {
-			slow := rate(core.NewBasic(org, core.M11BR5), k)
-			fast := rate(core.NewBasic(org, core.M5BR5), k)
+		for _, kind := range basicKinds {
+			slow := rate(mustNew(t, kind, core.M11BR5), k)
+			fast := rate(mustNew(t, kind, core.M5BR5), k)
 			if fast < slow-1e-12 {
-				t.Errorf("%s on %s: M5 rate %.4f < M11 rate %.4f", k, org, fast, slow)
+				t.Errorf("%s on %s: M5 rate %.4f < M11 rate %.4f", k, kind, fast, slow)
 			}
 		}
 	}
@@ -61,11 +63,11 @@ func TestFasterMemoryNeverHurts(t *testing.T) {
 
 func TestFasterBranchNeverHurts(t *testing.T) {
 	for _, k := range loops.All() {
-		for _, org := range core.Organizations() {
-			slow := rate(core.NewBasic(org, core.M11BR5), k)
-			fast := rate(core.NewBasic(org, core.M11BR2), k)
+		for _, kind := range basicKinds {
+			slow := rate(mustNew(t, kind, core.M11BR5), k)
+			fast := rate(mustNew(t, kind, core.M11BR2), k)
 			if fast < slow-1e-12 {
-				t.Errorf("%s on %s: BR2 rate %.4f < BR5 rate %.4f", k, org, fast, slow)
+				t.Errorf("%s on %s: BR2 rate %.4f < BR5 rate %.4f", k, kind, fast, slow)
 			}
 		}
 	}
@@ -77,8 +79,8 @@ func TestFasterBranchNeverHurts(t *testing.T) {
 // most marginally slower and never faster.
 func TestMultiIssueOneStationMatchesCRAYLike(t *testing.T) {
 	for _, k := range loops.All() {
-		base := rate(core.NewBasic(core.CRAYLike, core.M11BR5), k)
-		multi := rate(core.NewMultiIssue(core.M11BR5.WithIssue(1, bus.BusN)), k)
+		base := rate(mustNew(t, "cray", core.M11BR5), k)
+		multi := rate(mustNew(t, "multi", core.M11BR5.WithIssue(1, bus.BusN)), k)
 		if multi > base+1e-12 {
 			t.Errorf("%s: 1-station multi-issue (%.4f) beat the CRAY-like machine (%.4f)", k, multi, base)
 		}
@@ -91,8 +93,8 @@ func TestMultiIssueOneStationMatchesCRAYLike(t *testing.T) {
 // TestMoreStationsHelp: eight in-order stations never lose to one.
 func TestMoreStationsHelp(t *testing.T) {
 	for _, k := range loops.All() {
-		one := rate(core.NewMultiIssue(core.M11BR5.WithIssue(1, bus.BusN)), k)
-		eight := rate(core.NewMultiIssue(core.M11BR5.WithIssue(8, bus.BusN)), k)
+		one := rate(mustNew(t, "multi", core.M11BR5.WithIssue(1, bus.BusN)), k)
+		eight := rate(mustNew(t, "multi", core.M11BR5.WithIssue(8, bus.BusN)), k)
 		if eight < one-1e-12 {
 			t.Errorf("%s: 8 stations (%.4f) worse than 1 (%.4f)", k, eight, one)
 		}
@@ -106,8 +108,8 @@ func TestMoreStationsHelp(t *testing.T) {
 func TestOOOAtLeastInOrder(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, n := range []int{2, 4, 8} {
-			in := rate(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.BusN)), k)
-			ooo := rate(core.NewMultiIssueOOO(core.M11BR5.WithIssue(n, bus.BusN)), k)
+			in := rate(mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.BusN)), k)
+			ooo := rate(mustNew(t, "ooo", core.M11BR5.WithIssue(n, bus.BusN)), k)
 			if ooo < 0.98*in {
 				t.Errorf("%s N=%d: OOO rate %.4f below in-order %.4f", k, n, ooo, in)
 			}
@@ -119,8 +121,8 @@ func TestOOOAtLeastInOrder(t *testing.T) {
 // a reasonable RUU beats the plain CRAY-like machine on every loop.
 func TestRUUBeatsCRAYLike(t *testing.T) {
 	for _, k := range loops.All() {
-		base := rate(core.NewBasic(core.CRAYLike, core.M11BR5), k)
-		r := rate(core.NewRUU(core.M11BR5.WithIssue(1, bus.BusN).WithRUU(50)), k)
+		base := rate(mustNew(t, "cray", core.M11BR5), k)
+		r := rate(mustNew(t, "ruu", core.M11BR5.WithIssue(1, bus.BusN).WithRUU(50)), k)
 		if r <= base {
 			t.Errorf("%s: RUU (%.4f) did not beat CRAY-like (%.4f)", k, r, base)
 		}
@@ -141,7 +143,7 @@ func TestRUULargelyMonotoneInSize(t *testing.T) {
 			var prev float64
 			var first, last float64
 			for i, size := range sizes {
-				r := rate(core.NewRUU(core.M11BR5.WithIssue(n, bus.BusN).WithRUU(size)), k)
+				r := rate(mustNew(t, "ruu", core.M11BR5.WithIssue(n, bus.BusN).WithRUU(size)), k)
 				if r < 0.95*prev {
 					t.Errorf("%s N=%d: RUU %d rate %.4f dips more than 5%% below %.4f",
 						k, n, size, r, prev)
@@ -168,10 +170,10 @@ func TestRatesRespectDataflowLimit(t *testing.T) {
 		for _, cfg := range core.BaseConfigs() {
 			lim := limits.Compute(tr, cfg.Latencies(), limits.Pure).Actual
 			machines := []core.Machine{
-				core.NewBasic(core.CRAYLike, cfg),
-				core.NewMultiIssue(cfg.WithIssue(8, bus.BusN)),
-				core.NewMultiIssueOOO(cfg.WithIssue(8, bus.BusN)),
-				core.NewRUU(cfg.WithIssue(4, bus.BusN).WithRUU(100)),
+				mustNew(t, "cray", cfg),
+				mustNew(t, "multi", cfg.WithIssue(8, bus.BusN)),
+				mustNew(t, "ooo", cfg.WithIssue(8, bus.BusN)),
+				mustNew(t, "ruu", cfg.WithIssue(4, bus.BusN).WithRUU(100)),
 			}
 			for _, m := range machines {
 				if r := rate(m, k); r > lim+1e-9 {
@@ -189,8 +191,8 @@ func TestRatesRespectDataflowLimit(t *testing.T) {
 func TestXBarMatchesNBus(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, n := range []int{2, 4, 8} {
-			nb := rate(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.BusN)), k)
-			xb := rate(core.NewMultiIssue(core.M11BR5.WithIssue(n, bus.XBar)), k)
+			nb := rate(mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.BusN)), k)
+			xb := rate(mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.XBar)), k)
 			if xb < nb-1e-12 {
 				t.Errorf("%s N=%d: X-Bar (%.4f) worse than N-Bus (%.4f)", k, n, xb, nb)
 			}
@@ -227,8 +229,8 @@ func TestIssueRatesStableInN(t *testing.T) {
 		8: 100, 9: 200, 10: 200, 11: 200, 12: 200, 13: 200, 14: 200,
 	}
 	machines := []core.Machine{
-		core.NewBasic(core.CRAYLike, core.M11BR5),
-		core.NewRUU(core.M11BR5.WithIssue(2, bus.BusN).WithRUU(30)),
+		mustNew(t, "cray", core.M11BR5),
+		mustNew(t, "ruu", core.M11BR5.WithIssue(2, bus.BusN).WithRUU(30)),
 	}
 	for _, k := range loops.All() {
 		scaled, err := loops.Scaled(k.Number, double[k.Number])

@@ -19,28 +19,14 @@ type ruuMachine struct {
 // machineConfig exposes the configuration to the extrapolation engine.
 func (m *ruuMachine) machineConfig() Config { return m.cfg }
 
-// NewRUU builds the §5.3 machine: cfg.IssueUnits issue units over a
+// newRUU builds the §5.3 machine: cfg.IssueUnits issue units over a
 // cfg.RUUSize-entry Register Update Unit with the cfg.Bus
-// interconnect (bus.BusN or bus.Bus1). It panics on an invalid
-// configuration; NewRUUChecked is the error-returning form.
-func NewRUU(cfg Config) Machine {
-	m, err := NewRUUChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewRUUChecked builds the §5.3 machine, validating the configuration
-// instead of panicking.
-func NewRUUChecked(cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// interconnect (bus.BusN or bus.Bus1).
+func newRUU(cfg Config) (Machine, error) {
 	if cfg.IssueUnits < 1 || cfg.RUUSize < cfg.IssueUnits {
 		return nil, fmt.Errorf("core: RUU needs IssueUnits >= 1 and RUUSize >= IssueUnits, got %+v", cfg)
 	}
-	sim, err := ruu.NewChecked(ruu.Config{
+	sim, err := ruu.New(ruu.Config{
 		MemLatency:      cfg.MemLatency,
 		BranchLatency:   cfg.BranchLatency,
 		IssueUnits:      cfg.IssueUnits,
@@ -59,7 +45,7 @@ func NewRUUChecked(cfg Config) (Machine, error) {
 
 func (m *ruuMachine) Name() string { return m.sim.Name() }
 
-func (m *ruuMachine) SetProbe(p probe.Probe) { m.sim.SetProbe(p) }
+func (m *ruuMachine) SetProbe(p *probe.Counters) { m.sim.SetProbe(p) }
 
 func (m *ruuMachine) SetRecorder(r *events.Recorder) { m.sim.SetRecorder(r) }
 

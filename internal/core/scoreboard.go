@@ -26,27 +26,13 @@ type scoreboard struct {
 	pool  *fu.Pool
 	sb    regfile.Scoreboard
 	mem   memScoreboard
-	probe probe.Probe
+	probe *probe.Counters
 	rec   *events.Recorder
 }
 
-// NewScoreboard builds the CDC-6600-style single-issue machine of
-// §3.3. It panics on an invalid configuration; NewScoreboardChecked
-// is the error-returning form.
-func NewScoreboard(cfg Config) Machine {
-	m, err := NewScoreboardChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewScoreboardChecked builds the §3.3 scoreboard machine, validating
-// the configuration instead of panicking.
-func NewScoreboardChecked(cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newScoreboard builds the CDC-6600-style single-issue machine of
+// §3.3.
+func newScoreboard(cfg Config) (Machine, error) {
 	pool := cfg.newPool()
 	pool.SegmentAll()
 	return &scoreboard{cfg: cfg, pool: pool}, nil
@@ -54,7 +40,7 @@ func NewScoreboardChecked(cfg Config) (Machine, error) {
 
 func (m *scoreboard) Name() string { return "Scoreboard" }
 
-func (m *scoreboard) SetProbe(p probe.Probe) { m.probe = p }
+func (m *scoreboard) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *scoreboard) SetRecorder(r *events.Recorder) { m.rec = r }
 

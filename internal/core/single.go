@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mfup/internal/events"
 	"mfup/internal/fu"
 	"mfup/internal/isa"
@@ -30,7 +28,7 @@ type singleIssue struct {
 	sb    regfile.Scoreboard
 	mem   memScoreboard
 	banks *mem.Banks
-	probe probe.Probe
+	probe *probe.Counters
 	rec   *events.Recorder
 }
 
@@ -66,26 +64,9 @@ func Organizations() []Organization {
 	return []Organization{Simple, SerialMemory, NonSegmented, CRAYLike}
 }
 
-// NewBasic builds one of the four basic single-issue machines. It
-// panics on an invalid configuration; NewBasicChecked is the
-// error-returning form.
-func NewBasic(o Organization, cfg Config) Machine {
-	m, err := NewBasicChecked(o, cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewBasicChecked builds one of the four basic single-issue machines,
-// validating the configuration instead of panicking.
-func NewBasicChecked(o Organization, cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if o > CRAYLike {
-		return nil, fmt.Errorf("core: unknown organization %d", o)
-	}
+// newBasic builds one of the four basic single-issue machines from a
+// validated configuration.
+func newBasic(o Organization, cfg Config) (Machine, error) {
 	pool := cfg.newPool()
 	switch o {
 	case Simple, SerialMemory:
@@ -111,7 +92,7 @@ func NewBasicChecked(o Organization, cfg Config) (Machine, error) {
 
 func (m *singleIssue) Name() string { return m.name }
 
-func (m *singleIssue) SetProbe(p probe.Probe) { m.probe = p }
+func (m *singleIssue) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *singleIssue) SetRecorder(r *events.Recorder) { m.rec = r }
 

@@ -42,7 +42,7 @@ type tomasulo struct {
 
 	cdb     [64]int64 // self-invalidating per-cycle reservation ring
 	pending []*tomEntry
-	probe   probe.Probe
+	probe   *probe.Counters
 	rec     *events.Recorder
 }
 
@@ -57,24 +57,11 @@ type tomEntry struct {
 	doneAt   int64 // result broadcast cycle; MaxInt64 until started
 }
 
-// NewTomasulo builds the §3.3 Tomasulo machine. cfg.RUUSize, when
+// newTomasulo builds the §3.3 Tomasulo machine. cfg.RUUSize, when
 // positive, sets the reservation stations per functional unit
 // (total buffering is therefore RUUSize x the number of units);
 // otherwise DefaultStations is used.
-func NewTomasulo(cfg Config) Machine {
-	m, err := NewTomasuloChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewTomasuloChecked builds the §3.3 Tomasulo machine, validating the
-// configuration instead of panicking.
-func NewTomasuloChecked(cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func newTomasulo(cfg Config) (Machine, error) {
 	stations := cfg.RUUSize
 	if stations <= 0 {
 		stations = DefaultStations
@@ -116,7 +103,7 @@ func (m *tomasulo) cdbReserve(c int64) { m.cdb[c%64] = c }
 
 func (m *tomasulo) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
-func (m *tomasulo) SetProbe(p probe.Probe) { m.probe = p }
+func (m *tomasulo) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *tomasulo) SetRecorder(r *events.Recorder) { m.rec = r }
 

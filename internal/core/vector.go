@@ -51,32 +51,18 @@ type vectorMachine struct {
 
 	mem memScoreboard // scalar store-to-load dependences
 
-	probe probe.Probe
+	probe *probe.Counters
 	rec   *events.Recorder
 }
 
-// NewVector builds the vector-extension machine. It panics on an
-// invalid configuration; NewVectorChecked is the error-returning form.
-func NewVector(cfg Config) Machine {
-	m, err := NewVectorChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return m
-}
-
-// NewVectorChecked builds the vector-extension machine, validating
-// the configuration instead of panicking.
-func NewVectorChecked(cfg Config) (Machine, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+// newVector builds the vector-extension machine.
+func newVector(cfg Config) (Machine, error) {
 	return &vectorMachine{cfg: cfg, lat: cfg.Latencies()}, nil
 }
 
 func (m *vectorMachine) Name() string { return "Vector" }
 
-func (m *vectorMachine) SetProbe(p probe.Probe) { m.probe = p }
+func (m *vectorMachine) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *vectorMachine) SetRecorder(r *events.Recorder) { m.rec = r }
 

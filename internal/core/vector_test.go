@@ -30,7 +30,7 @@ func TestVectorSingleOp(t *testing.T) {
 	// One 64-element FloatAdd: issue 0, first element at 6, last
 	// element at 6+64 = 70.
 	tr := new(builder).vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 70 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 70 {
 		t.Errorf("vector add = %d cycles, want 70", got)
 	}
 }
@@ -42,7 +42,7 @@ func TestVectorChaining(t *testing.T) {
 		vload(isa.V(1), 100, 1, 64).
 		vop(isa.OpVFMul, isa.V(2), isa.V(1), isa.V(1), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 83 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 83 {
 		t.Errorf("chained multiply = %d cycles, want 83", got)
 	}
 }
@@ -55,7 +55,7 @@ func TestVectorUnitReservation(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpVFAdd, isa.V(4), isa.V(5), isa.V(6), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 134 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 134 {
 		t.Errorf("unit reservation = %d cycles, want 134", got)
 	}
 	// Distinct units overlap: add and multiply together end at the
@@ -64,7 +64,7 @@ func TestVectorUnitReservation(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpVFMul, isa.V(4), isa.V(5), isa.V(6), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr2); got != 72 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr2); got != 72 {
 		t.Errorf("distinct units = %d cycles, want 72", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestVectorWARBlocksRewrite(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpVFMul, isa.V(2), isa.V(4), isa.V(5), 64).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 135 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 135 {
 		t.Errorf("WAR on vector register = %d cycles, want 135", got)
 	}
 }
@@ -89,7 +89,7 @@ func TestVectorElementReadWaitsForFullVector(t *testing.T) {
 		vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).
 		vop(isa.OpMoveSV, isa.S(1), isa.V(1), isa.A(2), 0).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 71 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 71 {
 		t.Errorf("element read = %d cycles, want 71", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestVectorScalarInterleave(t *testing.T) {
 		op(isa.OpAAdd, isa.A(2), isa.A(3), isa.A(4)).
 		op(isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 70 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 70 {
 		t.Errorf("scalar under vector shadow = %d cycles, want 70", got)
 	}
 }
@@ -128,8 +128,8 @@ func TestVectorKernelsValidateAndBeatScalar(t *testing.T) {
 		if vk.Number == 2 || vk.Number == 4 {
 			factor = 2
 		}
-		vec := NewVector(M11BR5).Run(vtr)
-		cray := NewBasic(CRAYLike, M11BR5).Run(sk.SharedTrace())
+		vec := mustNew(t, "vector", M11BR5).Run(vtr)
+		cray := mustNew(t, "cray", M11BR5).Run(sk.SharedTrace())
 		if vec.Cycles*factor > cray.Cycles {
 			t.Errorf("LFK %d: vector %d cycles vs scalar %d — less than %dx",
 				vk.Number, vec.Cycles, cray.Cycles, factor)
@@ -142,8 +142,8 @@ func TestVectorVsSuperscalarCrossover(t *testing.T) {
 	// (LFK 3) is where a 4-unit RUU machine catches up — its serial
 	// 64-lane reduction has no vector parallelism. This pins the
 	// qualitative crossover.
-	ruu := NewRUU(M11BR5.WithIssue(4, bus.BusN).WithRUU(100))
-	vec := NewVector(M11BR5)
+	ruu := mustNew(t, "ruu", M11BR5.WithIssue(4, bus.BusN).WithRUU(100))
+	vec := mustNew(t, "vector", M11BR5)
 
 	k12, _ := loops.VectorKernel(12)
 	s12, _ := loops.Get(12)
@@ -161,12 +161,12 @@ func TestVectorVsSuperscalarCrossover(t *testing.T) {
 func TestScalarMachinesRejectVectorTraces(t *testing.T) {
 	vtr := new(builder).vop(isa.OpVFAdd, isa.V(1), isa.V(2), isa.V(3), 64).trace()
 	for _, m := range []Machine{
-		NewBasic(CRAYLike, M11BR5),
-		NewMultiIssue(M11BR5.WithIssue(2, bus.BusN)),
-		NewMultiIssueOOO(M11BR5.WithIssue(2, bus.BusN)),
-		NewRUU(M11BR5.WithIssue(2, bus.BusN).WithRUU(10)),
-		NewScoreboard(M11BR5),
-		NewTomasulo(M11BR5),
+		mustNew(t, "cray", M11BR5),
+		mustNew(t, "multi", M11BR5.WithIssue(2, bus.BusN)),
+		mustNew(t, "ooo", M11BR5.WithIssue(2, bus.BusN)),
+		mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(10)),
+		mustNew(t, "scoreboard", M11BR5),
+		mustNew(t, "tomasulo", M11BR5),
 	} {
 		func() {
 			defer func() {
@@ -196,14 +196,14 @@ func TestVectorMachineRunsScalarTraces(t *testing.T) {
 		op(isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)).
 		op(isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)).
 		trace()
-	if got := cycles(t, NewVector(M11BR5), tr); got != 12 {
+	if got := cycles(t, mustNew(t, "vector", M11BR5), tr); got != 12 {
 		t.Errorf("scalar chain on vector machine = %d cycles, want 12", got)
 	}
 	// And on whole kernels it stays within a few percent of CRAYLike
 	// (the models differ only in bus-less bookkeeping details).
 	for _, k := range loops.All() {
-		a := NewBasic(CRAYLike, M11BR5).Run(k.SharedTrace()).Cycles
-		b := NewVector(M11BR5).Run(k.SharedTrace()).Cycles
+		a := mustNew(t, "cray", M11BR5).Run(k.SharedTrace()).Cycles
+		b := mustNew(t, "vector", M11BR5).Run(k.SharedTrace()).Cycles
 		diff := float64(b-a) / float64(a)
 		if diff > 0.05 || diff < -0.05 {
 			t.Errorf("%s: vector machine scalar path differs from CRAY-like by %.1f%% (%d vs %d)",
@@ -215,7 +215,7 @@ func TestVectorMachineRunsScalarTraces(t *testing.T) {
 func TestVectorMachineReusable(t *testing.T) {
 	vk, _ := loops.VectorKernel(1)
 	tr := vk.MustTrace()
-	m := NewVector(M11BR5)
+	m := mustNew(t, "vector", M11BR5)
 	if a, b := m.Run(tr).Cycles, m.Run(tr).Cycles; a != b {
 		t.Errorf("reruns differ: %d vs %d", a, b)
 	}
@@ -228,7 +228,7 @@ func TestVectorMachineRespectsLimits(t *testing.T) {
 		tr := vk.MustTrace()
 		for _, cfg := range BaseConfigs() {
 			lim := limitsActual(tr, cfg)
-			r := NewVector(cfg).Run(tr)
+			r := mustNew(t, "vector", cfg).Run(tr)
 			if got := r.IssueRate(); got > lim+1e-9 {
 				t.Errorf("%s %s: vector machine rate %.4f exceeds limit %.4f",
 					vk, cfg.Name(), got, lim)

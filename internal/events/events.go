@@ -12,8 +12,8 @@
 // contract: recording never changes timing — simulated cycle counts
 // are identical with and without a recorder — and the nil-recorder
 // default costs only a predicted-not-taken branch per event site
-// (BenchmarkTraceOverhead guards this next to BenchmarkProbeOverhead).
-// Like a probe, a Recorder is driven from the running goroutine and
+// (BenchmarkTraceOverhead measures it next to BenchmarkProbeOverhead).
+// Like probe counters, a Recorder is driven from the running goroutine and
 // must not be shared across concurrently running machines.
 //
 // Event storage is bounded: each run keeps at most a configured

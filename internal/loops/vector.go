@@ -11,9 +11,9 @@ import (
 // code on purpose — its subject is the scalar unit — but classifies
 // them as vectorizable because a CRAY would run them in the vector
 // unit. These hand-vectorized codings of representative kernels
-// (LFK 1, 3, 7, 12) let the vector-extension machine (core.NewVector)
-// be compared against the paper's multiple-issue scalar machines on
-// the same computations.
+// (LFK 1, 3, 7, 12) let the vector-extension machine
+// (core.New("vector", …)) be compared against the paper's
+// multiple-issue scalar machines on the same computations.
 //
 // Each coding strip-mines the loop into 64-element sections (the
 // CRAY-1 vector register length): full strips run at VL=64 and a

@@ -370,29 +370,7 @@ func (s Spec) New() (core.Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch s.Kind {
-	case "simple":
-		return core.NewBasicChecked(core.Simple, cfg)
-	case "serialmem":
-		return core.NewBasicChecked(core.SerialMemory, cfg)
-	case "nonseg":
-		return core.NewBasicChecked(core.NonSegmented, cfg)
-	case "cray":
-		return core.NewBasicChecked(core.CRAYLike, cfg)
-	case "scoreboard":
-		return core.NewScoreboardChecked(cfg)
-	case "tomasulo":
-		return core.NewTomasuloChecked(cfg)
-	case "multi":
-		return core.NewMultiIssueChecked(cfg)
-	case "ooo":
-		return core.NewMultiIssueOOOChecked(cfg)
-	case "ruu":
-		return core.NewRUUChecked(cfg)
-	case "vector":
-		return core.NewVectorChecked(cfg)
-	}
-	return nil, errf("unknown machine kind %q", s.Kind)
+	return core.New(s.Kind, cfg)
 }
 
 // Key returns the content address of a canonical spec: the SHA-256,

@@ -60,27 +60,20 @@ func TestDifferentialAgainstDirectConstructors(t *testing.T) {
 	}
 	vtr := vk.SharedTrace()
 
-	direct := map[string]func(core.Config) (core.Machine, error){
-		"simple":     func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.Simple, c) },
-		"serialmem":  func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.SerialMemory, c) },
-		"nonseg":     func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.NonSegmented, c) },
-		"cray":       func(c core.Config) (core.Machine, error) { return core.NewBasicChecked(core.CRAYLike, c) },
-		"scoreboard": core.NewScoreboardChecked,
-		"tomasulo": func(c core.Config) (core.Machine, error) {
-			return core.NewTomasuloChecked(c.WithRUU(4))
-		},
-		"multi": func(c core.Config) (core.Machine, error) {
-			return core.NewMultiIssueChecked(c.WithIssue(4, bus.BusN))
-		},
-		"ooo": func(c core.Config) (core.Machine, error) {
-			return core.NewMultiIssueOOOChecked(c.WithIssue(4, bus.BusN))
-		},
-		"ruu": func(c core.Config) (core.Machine, error) {
-			return core.NewRUUChecked(c.WithIssue(2, bus.BusN).WithRUU(50))
-		},
-		"vector": core.NewVectorChecked,
+	// direct holds each golden kind's hand-built configuration.
+	direct := map[string]func(core.Config) core.Config{
+		"simple":     func(c core.Config) core.Config { return c },
+		"serialmem":  func(c core.Config) core.Config { return c },
+		"nonseg":     func(c core.Config) core.Config { return c },
+		"cray":       func(c core.Config) core.Config { return c },
+		"scoreboard": func(c core.Config) core.Config { return c },
+		"tomasulo":   func(c core.Config) core.Config { return c.WithRUU(4) },
+		"multi":      func(c core.Config) core.Config { return c.WithIssue(4, bus.BusN) },
+		"ooo":        func(c core.Config) core.Config { return c.WithIssue(4, bus.BusN) },
+		"ruu":        func(c core.Config) core.Config { return c.WithIssue(2, bus.BusN).WithRUU(50) },
+		"vector":     func(c core.Config) core.Config { return c },
 	}
-	for kind, mk := range direct {
+	for kind, config := range direct {
 		for _, base := range core.BaseConfigs() {
 			s, err := ParseFile(filepath.Join("testdata", kind+".json"))
 			if err != nil {
@@ -94,7 +87,7 @@ func TestDifferentialAgainstDirectConstructors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: declarative: %v", kind, base.Name(), err)
 			}
-			reference, err := mk(base)
+			reference, err := core.New(kind, config(base))
 			if err != nil {
 				t.Fatalf("%s %s: direct: %v", kind, base.Name(), err)
 			}

@@ -14,7 +14,7 @@ package probe
 // an issue (a branch shadow, a buffer refill), and anything after the
 // final event is left for Counters to derive as drain.
 type Account struct {
-	p     Probe
+	p     *Counters
 	width int64
 	cur   int64 // cycle currently receiving issues
 	n     int64 // issues recorded at cur
@@ -23,7 +23,7 @@ type Account struct {
 // NewAccount builds an accountant reporting to p (which must be
 // non-nil; machines skip accounting entirely when unprobed) for a
 // machine with the given issue width.
-func NewAccount(p Probe, width int) *Account {
+func NewAccount(p *Counters, width int) *Account {
 	return &Account{p: p, width: int64(width)}
 }
 

@@ -16,11 +16,27 @@ type FUStat struct {
 	Busy int64
 }
 
-// Counters is the accumulating Probe: per-reason stall slots, per-FU
-// busy totals, an in-flight-buffer occupancy histogram, and the slot
-// arithmetic tying them together. One Counters may observe any number
-// of consecutive runs (e.g. every loop of a harmonic-mean cell); the
-// totals accumulate across them.
+// Counters observes one machine's issue stage: per-reason stall
+// slots, per-FU busy totals, an in-flight-buffer occupancy histogram,
+// and the slot arithmetic tying them together. One Counters may
+// observe any number of consecutive runs (e.g. every loop of a
+// harmonic-mean cell); the totals accumulate across them.
+//
+// The accounting model: a run of C cycles on a machine with W issue
+// slots per cycle has C*W slots. Every slot is an Issue, a Stall with
+// a Reason, or part of the post-issue drain. Machines report issues
+// and stalls; the drain is the remainder End derives.
+//
+// Machines call the methods from the goroutine running the
+// simulation, in nondecreasing cycle order per run; no locking is
+// needed as long as one Counters is attached to one machine at a
+// time (the same contract machines themselves carry).
+//
+// The per-event methods (Begin through End) are marked noinline.
+// Machines call them inside their hot loops behind a nil check, and
+// with the bodies inlined there the unobserved path itself ran slower
+// (Table 8 by a median 7%, EXPERIMENTS.md "One way to build a
+// machine") although the inlined code never executes on it.
 type Counters struct {
 	// Machine and Trace name the most recent run observed.
 	Machine string
@@ -57,9 +73,11 @@ type Counters struct {
 	Branches int64
 }
 
-var _ Probe = (*Counters)(nil)
-
-// Begin records the run's identity and slot geometry.
+// Begin starts a run: the machine's name, the trace, the issue width
+// W (slots per cycle), and the in-flight buffer capacity that
+// Occupancy levels refer to (0 for machines with no buffer).
+//
+//go:noinline
 func (c *Counters) Begin(machine, trace string, width, capacity int) {
 	c.Machine = machine
 	c.Trace = trace
@@ -69,22 +87,36 @@ func (c *Counters) Begin(machine, trace string, width, capacity int) {
 	}
 }
 
-// Issue accumulates issued instructions.
+// Issue records n instructions issuing at the given cycle.
+//
+//go:noinline
 func (c *Counters) Issue(cycle int64, n int64) { c.Issued += n }
 
-// Stall accumulates slots against reason r.
+// Stall records slots issue slots lost to reason r, the first of
+// them at the given cycle.
+//
+//go:noinline
 func (c *Counters) Stall(cycle int64, r Reason, slots int64) { c.Stalls[r] += slots }
 
-// Writeback accumulates unit work.
+// Writeback records a result (or a store's memory update) completing
+// at the given cycle on unit u, which the operation kept busy for
+// busy cycles.
+//
+//go:noinline
 func (c *Counters) Writeback(cycle int64, u isa.Unit, busy int64) {
 	c.FU[u].Ops++
 	c.FU[u].Busy += busy
 }
 
-// BranchResolve counts the resolution.
+// BranchResolve counts a branch resolving at the given cycle.
+//
+//go:noinline
 func (c *Counters) BranchResolve(cycle int64) { c.Branches++ }
 
-// Occupancy accumulates the occupancy histogram.
+// Occupancy records the machine spending cycles cycles with level
+// instructions in its in-flight buffer.
+//
+//go:noinline
 func (c *Counters) Occupancy(level int, cycles int64) {
 	if level >= len(c.OccupancyHist) {
 		grown := make([]int64, level+1)
@@ -96,6 +128,8 @@ func (c *Counters) Occupancy(level int, cycles int64) {
 
 // End closes a run of the given cycle count and re-derives the drain
 // remainder so that Issued + sum(Stalls) == Slots always holds.
+//
+//go:noinline
 func (c *Counters) End(cycles int64) {
 	c.Runs++
 	c.Cycles += cycles

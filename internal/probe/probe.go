@@ -1,6 +1,6 @@
 // Package probe is the cycle-level observability layer of the machine
-// models: a set of per-cycle callbacks through which a timing model
-// reports what its issue stage did — issued instructions, slots lost
+// models: the Counters a timing model feeds, cycle by cycle, with
+// what its issue stage did — issued instructions, slots lost
 // to a named stall reason, results written back, branches resolved,
 // buffer occupancy — without perturbing the simulation itself.
 //
@@ -8,25 +8,21 @@
 // serialization caps the §4 Serial bounds (Table 2), the 1-Bus
 // interconnect drags Table 4 below Table 3, and finite instruction
 // buffers shape Tables 5-8. The final harmonic-mean rates alone show
-// none of that. A Probe attached to a machine makes the limiting
+// none of that. Counters attached to a machine make the limiting
 // resource visible: every issue slot of every cycle is either an
 // issue or a stall attributed to one Reason, so the counts decompose
 // a run's cycles into exactly the causes the paper discusses — and
 // provide the per-resource occupancies a queuing-model treatment of
 // functional-unit and issue-queue sizing needs as input.
 //
-// Zero-overhead contract: a machine holds a nil Probe by default and
+// Zero-overhead contract: a machine holds nil *Counters by default and
 // guards every callback behind a nil check, so the unprobed hot path
 // costs one predictable branch per event and the timing math is
-// untouched either way. Attaching a probe never changes simulated
-// cycle counts; it only observes them.
+// untouched either way. Attaching counters never changes simulated
+// cycle counts; they only observe them.
 package probe
 
-import (
-	"fmt"
-
-	"mfup/internal/isa"
-)
+import "fmt"
 
 // Reason names why an issue slot went unused for one cycle. The
 // taxonomy follows the paper's own explanations of its tables.
@@ -114,43 +110,4 @@ func Reasons() []Reason {
 		rs[i] = Reason(i)
 	}
 	return rs
-}
-
-// Probe observes one machine's issue stage. All callbacks are invoked
-// from the goroutine running the simulation, in nondecreasing cycle
-// order per run; implementations need no locking as long as one probe
-// is attached to one machine at a time (the same contract machines
-// themselves carry).
-//
-// The accounting model: a run of C cycles on a machine with W issue
-// slots per cycle has C*W slots. Every slot is an Issue, a Stall with
-// a Reason, or part of the post-issue drain. Machines report issues
-// and stalls; the drain is the remainder.
-type Probe interface {
-	// Begin starts a run: the machine's name, the trace, the issue
-	// width W (slots per cycle), and the in-flight buffer capacity
-	// that Occupancy levels refer to (0 for machines with no buffer).
-	Begin(machine, trace string, width, capacity int)
-
-	// Issue reports n instructions issuing at the given cycle.
-	Issue(cycle int64, n int64)
-
-	// Stall reports slots issue slots lost to reason r, the first of
-	// them at the given cycle.
-	Stall(cycle int64, r Reason, slots int64)
-
-	// Writeback reports a result (or a store's memory update)
-	// completing at the given cycle on unit u, which the operation
-	// kept busy for busy cycles.
-	Writeback(cycle int64, u isa.Unit, busy int64)
-
-	// BranchResolve reports a branch resolving at the given cycle.
-	BranchResolve(cycle int64)
-
-	// Occupancy reports the machine spending cycles cycles with level
-	// instructions in its in-flight buffer.
-	Occupancy(level int, cycles int64)
-
-	// End finishes the run after cycles total simulated cycles.
-	End(cycles int64)
 }

@@ -95,7 +95,7 @@ func retryTestTask(t *testing.T) (Task, *trace.Trace) {
 	tr := k.SharedTrace()
 	return Task{
 		New: func() core.Machine {
-			m, err := core.NewBasicChecked(core.Simple, core.Config{MemLatency: 11, BranchLatency: 5})
+			m, err := core.New("simple", core.Config{MemLatency: 11, BranchLatency: 5})
 			if err != nil {
 				t.Error(err)
 			}

@@ -50,10 +50,10 @@ type Task struct {
 
 	// Probe, when non-nil, is attached to the cell's machine before any
 	// trace runs, so it observes every run of the cell in order. A task
-	// runs entirely on the one goroutine that claims it, so an
-	// unsynchronized accumulator (e.g. *probe.Counters) is safe here as
-	// long as it is private to this task.
-	Probe probe.Probe
+	// runs entirely on the one goroutine that claims it, so the
+	// unsynchronized counters are safe here as long as they are private
+	// to this task.
+	Probe *probe.Counters
 
 	// Recorder, when non-nil, is attached to the cell's machine before
 	// any trace runs, capturing per-instruction lifecycle events
@@ -125,9 +125,9 @@ func Each(parallel, n int, fn func(i int)) {
 // the results in task order: out[i][j] is tasks[i] run on its j-th
 // trace, regardless of how the cells were scheduled. Any cell failure
 // (panic or simulation error) panics with the first failure; use
-// RunChecked to collect failures instead.
+// RunCheckedStats to collect failures instead.
 func Run(parallel int, tasks []Task) [][]core.Result {
-	out, errs := RunChecked(context.Background(), Options{Parallel: parallel}, tasks)
+	out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: parallel}, tasks)
 	if len(errs) > 0 {
 		panic(errs[0])
 	}
@@ -234,23 +234,18 @@ func Safe(fn func()) (err error) {
 	return nil
 }
 
-// RunChecked executes every task like Run, but isolates failures: a
-// cell that returns a simulation error or panics produces a CellError
-// and a zero Result in its slot, while every other cell completes
-// normally (unless opts.FailFast cancels them). Cancelling ctx stops
-// the sweep the same way. Errors are reported sorted by (Task, Trace),
-// deterministically at any worker count. len(out) == len(tasks) and
-// len(out[i]) == len(tasks[i].Traces) always hold.
-func RunChecked(ctx context.Context, opts Options, tasks []Task) ([][]core.Result, []*CellError) {
-	out, _, errs := RunCheckedStats(ctx, opts, tasks)
-	return out, errs
-}
-
-// RunCheckedStats is RunChecked with per-task telemetry: the third
-// return value, indexed like tasks, reports each cell's wall-clock
-// time, simulated cycle total, and recorder event counts. The
-// telemetry is observational — results and errors are identical to
-// RunChecked's.
+// RunCheckedStats executes every task like Run, but isolates
+// failures: a cell that returns a simulation error or panics produces
+// a CellError and a zero Result in its slot, while every other cell
+// completes normally (unless opts.FailFast cancels them). Cancelling
+// ctx stops the sweep the same way. Errors are reported sorted by
+// (Task, Trace), deterministically at any worker count. len(out) ==
+// len(tasks) and len(out[i]) == len(tasks[i].Traces) always hold.
+//
+// The second return value, indexed like tasks, reports each cell's
+// wall-clock time, simulated cycle total, and recorder event counts.
+// This telemetry is observational: it never changes results or
+// errors.
 //
 // Structurally invalid Options (opts.Validate) run nothing: the
 // single reported CellError carries coordinates (-1, -1) and unwraps

@@ -16,6 +16,19 @@ import (
 	"mfup/internal/trace"
 )
 
+// newMachine is a Task.New for kind under cfg. It runs on a worker
+// goroutine, so a configuration error panics, which the runner
+// reports as the cell's construction failure.
+func newMachine(kind string, cfg core.Config) func() core.Machine {
+	return func() core.Machine {
+		m, err := core.New(kind, cfg)
+		if err != nil {
+			panic(err)
+		}
+		return m
+	}
+}
+
 func TestWorkers(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
@@ -59,7 +72,7 @@ func TestRunDeterministic(t *testing.T) {
 	var tasks []Task
 	for _, cfg := range core.BaseConfigs() {
 		tasks = append(tasks, Task{
-			New:    func() core.Machine { return core.NewBasic(core.CRAYLike, cfg) },
+			New:    newMachine("cray", cfg),
 			Traces: traces,
 		})
 	}
@@ -91,7 +104,7 @@ func (p *panicMachine) Name() string { return "PanicMachine" }
 
 func (p *panicMachine) Run(t *trace.Trace) core.Result { return p.inner.Run(t) }
 
-func (p *panicMachine) SetProbe(pr probe.Probe) { p.inner.SetProbe(pr) }
+func (p *panicMachine) SetProbe(pr *probe.Counters) { p.inner.SetProbe(pr) }
 
 func (p *panicMachine) SetRecorder(r *events.Recorder) { p.inner.SetRecorder(r) }
 
@@ -114,9 +127,9 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 	}
 	bad := traces[1].Name
 	mk := func() core.Machine {
-		return &panicMachine{inner: core.NewBasic(core.CRAYLike, core.M11BR5), blowOn: bad}
+		return &panicMachine{inner: newMachine("cray", core.M11BR5)(), blowOn: bad}
 	}
-	healthy := func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }
+	healthy := newMachine("cray", core.M11BR5)
 
 	tasks := []Task{
 		{New: mk, Traces: traces},
@@ -125,7 +138,7 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 	want := Run(1, []Task{{New: healthy, Traces: traces}})[0]
 
 	for _, workers := range []int{1, 4} {
-		out, errs := RunChecked(context.Background(), Options{Parallel: workers}, tasks)
+		out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: workers}, tasks)
 		if len(errs) != 1 {
 			t.Fatalf("workers=%d: %d errors, want 1: %v", workers, len(errs), errs)
 		}
@@ -162,7 +175,7 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 func TestRunCheckedConstructionFailure(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
 	tasks := []Task{{New: func() core.Machine { panic("bad constructor") }, Traces: traces}}
-	out, errs := RunChecked(context.Background(), Options{}, tasks)
+	out, _, errs := RunCheckedStats(context.Background(), Options{}, tasks)
 	if len(errs) != 1 || errs[0].Trace != -1 {
 		t.Fatalf("errs = %v, want one construction error with Trace -1", errs)
 	}
@@ -180,25 +193,25 @@ func TestRunCheckedFailFast(t *testing.T) {
 	var tasks []Task
 	tasks = append(tasks, Task{
 		New: func() core.Machine {
-			return &panicMachine{inner: core.NewBasic(core.CRAYLike, core.M11BR5), errOn: bad}
+			return &panicMachine{inner: newMachine("cray", core.M11BR5)(), errOn: bad}
 		},
 		Traces: traces,
 	})
 	for i := 0; i < 16; i++ {
 		tasks = append(tasks, Task{
-			New:    func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) },
+			New:    newMachine("cray", core.M11BR5),
 			Traces: traces,
 		})
 	}
 
 	// Keep-going (default): exactly the one injected failure.
-	_, errs := RunChecked(context.Background(), Options{Parallel: 1}, tasks)
+	_, _, errs := RunCheckedStats(context.Background(), Options{Parallel: 1}, tasks)
 	if len(errs) != 1 {
 		t.Fatalf("keep-going: %d errors, want 1: %v", len(errs), errs)
 	}
 
 	// Fail-fast with one worker: everything after task 0 is skipped.
-	_, errs = RunChecked(context.Background(), Options{Parallel: 1, FailFast: true}, tasks)
+	_, _, errs = RunCheckedStats(context.Background(), Options{Parallel: 1, FailFast: true}, tasks)
 	if len(errs) != len(tasks) {
 		t.Fatalf("fail-fast: %d errors, want %d", len(errs), len(tasks))
 	}
@@ -218,8 +231,8 @@ func TestRunCheckedCancelledContext(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	tasks := []Task{{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces}}
-	_, errs := RunChecked(ctx, Options{}, tasks)
+	tasks := []Task{{New: newMachine("cray", core.M11BR5), Traces: traces}}
+	_, _, errs := RunCheckedStats(ctx, Options{}, tasks)
 	if len(errs) != 1 || !errors.Is(errs[0], ErrSkipped) {
 		t.Fatalf("errs = %v, want one ErrSkipped", errs)
 	}
@@ -229,8 +242,8 @@ func TestRunCheckedCancelledContext(t *testing.T) {
 // the per-cell deadline on a real machine run.
 func TestRunCheckedCellTimeout(t *testing.T) {
 	traces := []*trace.Trace{loops.ByClass(loops.Scalar)[0].SharedTrace()}
-	tasks := []Task{{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces}}
-	_, errs := RunChecked(context.Background(), Options{CellTimeout: time.Nanosecond}, tasks)
+	tasks := []Task{{New: newMachine("cray", core.M11BR5), Traces: traces}}
+	_, _, errs := RunCheckedStats(context.Background(), Options{CellTimeout: time.Nanosecond}, tasks)
 	if len(errs) != 1 {
 		t.Fatalf("errs = %v, want one deadline error", errs)
 	}
@@ -264,8 +277,8 @@ func TestRunCheckedStatsTelemetry(t *testing.T) {
 	}
 	rec := events.NewRecorder(100)
 	tasks := []Task{
-		{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces, Recorder: rec},
-		{New: func() core.Machine { return core.NewBasic(core.Simple, core.M11BR5) }, Traces: traces},
+		{New: newMachine("cray", core.M11BR5), Traces: traces, Recorder: rec},
+		{New: newMachine("simple", core.M11BR5), Traces: traces},
 	}
 	out, stats, errs := RunCheckedStats(context.Background(), Options{Parallel: 1}, tasks)
 	if len(errs) != 0 {
@@ -305,8 +318,8 @@ func TestRunCheckedStatsTelemetry(t *testing.T) {
 	}
 
 	// RunChecked's delegation returns the same results.
-	plain, perrs := RunChecked(context.Background(), Options{Parallel: 1}, []Task{
-		{New: func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, Traces: traces},
+	plain, _, perrs := RunCheckedStats(context.Background(), Options{Parallel: 1}, []Task{
+		{New: newMachine("cray", core.M11BR5), Traces: traces},
 	})
 	if len(perrs) != 0 {
 		t.Fatalf("unexpected cell errors: %v", perrs)

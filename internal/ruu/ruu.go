@@ -63,7 +63,7 @@ type Config struct {
 }
 
 // Validate reports whether the configuration is structurally
-// possible; it is what New asserts and NewChecked returns.
+// possible; New returns its error.
 func (cfg Config) Validate() error {
 	if cfg.MemLatency <= 0 || cfg.BranchLatency <= 0 {
 		return fmt.Errorf("ruu: non-positive latency in config %+v", cfg)
@@ -241,23 +241,12 @@ type Simulator struct {
 	commitSeen  []bool       // per-bank commit-bus use, reset each cycle
 	memBanks    *mem.Banks
 
-	probe probe.Probe
+	probe *probe.Counters
 	rec   *events.Recorder
 }
 
-// New builds a simulator; it panics on nonsensical configuration.
-// NewChecked is the error-returning form.
-func New(cfg Config) *Simulator {
-	s, err := NewChecked(cfg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return s
-}
-
-// NewChecked builds a simulator, validating the configuration instead
-// of panicking.
-func NewChecked(cfg Config) (*Simulator, error) {
+// New builds a simulator, validating the configuration.
+func New(cfg Config) (*Simulator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -286,7 +275,11 @@ func NewChecked(cfg Config) (*Simulator, error) {
 	s.freeEnt = make([]*entry, 0, cfg.Size)
 	s.fifo = make([]*entry, cfg.Size)
 	s.ready = make([]seqHeap, s.banks)
-	s.results = bus.NewTracker(cfg.Bus, s.banks)
+	results, err := bus.NewTracker(cfg.Bus, s.banks, 0)
+	if err != nil {
+		return nil, err
+	}
+	s.results = results
 	s.commitSeen = make([]bool, s.banks)
 	s.memBanks = mem.NewBanks(cfg.MemBanks, cfg.MemLatency)
 	return s, nil
@@ -320,11 +313,12 @@ func (s *Simulator) reset(numAddrs int) {
 	s.results.Reset()
 }
 
-// SetProbe attaches a probe (internal/probe) observing subsequent
-// runs, or detaches it with nil. This mirrors core.Machine's SetProbe
-// — the package cannot import core, which wraps it. A probe never
-// changes timing; the nil default costs one branch per event.
-func (s *Simulator) SetProbe(p probe.Probe) { s.probe = p }
+// SetProbe attaches stall-attribution counters (internal/probe)
+// observing subsequent runs, or detaches them with nil. This mirrors
+// core.Machine's SetProbe — the package cannot import core, which
+// wraps it. Counters never change timing; the nil default costs one
+// branch per event.
+func (s *Simulator) SetProbe(p *probe.Counters) { s.probe = p }
 
 // SetRecorder attaches an event recorder (internal/events) capturing
 // per-instruction lifecycle events during subsequent runs, or

@@ -22,7 +22,7 @@ func mkOp(seq int, code isa.Opcode, dst, s1, s2 isa.Reg) trace.Op {
 func TestSingleInstruction(t *testing.T) {
 	tr := &trace.Trace{Ops: []trace.Op{mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0))}}
 	// Issue at 0, dispatch at 1, result at 7.
-	if got := New(cfg115(1, 4, bus.Bus1)).Run(tr); got != 7 {
+	if got := mustNew(t, cfg115(1, 4, bus.Bus1)).Run(tr); got != 7 {
 		t.Errorf("cycles = %d, want 7", got)
 	}
 }
@@ -32,7 +32,7 @@ func TestChainThroughBypass(t *testing.T) {
 		mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)), // dispatch 1, done 7
 		mkOp(1, isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)), // wakes at 7, done 13
 	}}
-	if got := New(cfg115(2, 8, bus.BusN)).Run(tr); got != 13 {
+	if got := mustNew(t, cfg115(2, 8, bus.BusN)).Run(tr); got != 13 {
 		t.Errorf("cycles = %d, want 13", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestIndependentOpsOverlap(t *testing.T) {
 		mkOp(1, isa.OpFMul, isa.S(2), isa.S(0), isa.S(0)),
 	}}
 	// Both issue at 0, dispatch at 1; FMul completes at 8.
-	if got := New(cfg115(2, 8, bus.BusN)).Run(tr); got != 8 {
+	if got := mustNew(t, cfg115(2, 8, bus.BusN)).Run(tr); got != 8 {
 		t.Errorf("cycles = %d, want 8", got)
 	}
 }
@@ -58,8 +58,8 @@ func TestIssueWidthLimits(t *testing.T) {
 		mkOp(2, isa.OpAAdd, isa.A(1), isa.A(2), isa.A(3)),
 		mkOp(3, isa.OpSAdd, isa.S(3), isa.S(0), isa.S(0)),
 	}
-	narrow := New(cfg115(1, 8, bus.Bus1)).Run(&trace.Trace{Ops: ops})
-	wide := New(cfg115(4, 8, bus.BusN)).Run(&trace.Trace{Ops: ops})
+	narrow := mustNew(t, cfg115(1, 8, bus.Bus1)).Run(&trace.Trace{Ops: ops})
+	wide := mustNew(t, cfg115(4, 8, bus.BusN)).Run(&trace.Trace{Ops: ops})
 	if wide >= narrow {
 		t.Errorf("wide issue (%d cycles) not faster than narrow (%d)", wide, narrow)
 	}
@@ -77,8 +77,8 @@ func TestRUUFullBackpressure(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ops = append(ops, mkOp(i, isa.OpFAdd, isa.S(1+i%7), isa.S(0), isa.S(0)))
 	}
-	small := New(cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops})
-	big := New(cfg115(1, 16, bus.Bus1)).Run(&trace.Trace{Ops: ops})
+	small := mustNew(t, cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops})
+	big := mustNew(t, cfg115(1, 16, bus.Bus1)).Run(&trace.Trace{Ops: ops})
 	if small <= big+4 {
 		t.Errorf("2-entry RUU (%d cycles) should be clearly slower than 16-entry (%d)", small, big)
 	}
@@ -93,7 +93,7 @@ func TestInOrderCommit(t *testing.T) {
 		mkOp(1, isa.OpSImm, isa.S(2), isa.NoReg, isa.NoReg), // done 2, commits >= 15
 		mkOp(2, isa.OpSImm, isa.S(3), isa.NoReg, isa.NoReg),
 	}
-	got := New(cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops})
+	got := mustNew(t, cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops})
 	// Recip: issue 0, dispatch 1, done 15, commits 15. SImm1: issue 1
 	// done 3. SImm2 needs a slot: only at 15 (recip commit) -> issue
 	// 15, dispatch 16, done 17.
@@ -107,7 +107,7 @@ func TestBranchStallsIssue(t *testing.T) {
 		{Seq: 0, Code: isa.OpJ, Unit: isa.Branch, Parcels: 2, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg, Taken: true},
 		mkOp(1, isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg),
 	}
-	got := New(cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: ops})
+	got := mustNew(t, cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: ops})
 	// Branch at 0 resolves at 5; transfer issues 5, dispatches 6, done 7.
 	if got != 7 {
 		t.Errorf("cycles = %d, want 7", got)
@@ -122,7 +122,7 @@ func TestStoreLoadDependence(t *testing.T) {
 	ldOther := mkOp(2, isa.OpLoadS, isa.S(3), isa.A(1), isa.NoReg)
 	ldOther.Addr = 65
 
-	got := New(cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st, ldSame, ldOther}})
+	got := mustNew(t, cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st, ldSame, ldOther}})
 	// Store: issue 0, dispatch 1, completes 12. Dependent load wakes
 	// at 12, dispatches 12 (bypass), completes 23. Independent load
 	// dispatches at 2 (memory unit accepted the store at 1), done 13.
@@ -139,28 +139,34 @@ func TestStoreStoreOrdering(t *testing.T) {
 	st1.Addr = 7
 	st2 := mkOp(1, isa.OpStoreS, isa.NoReg, isa.A(1), isa.S(2))
 	st2.Addr = 7
-	got := New(cfg115(2, 8, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st1, st2}})
+	got := mustNew(t, cfg115(2, 8, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st1, st2}})
 	// st1: dispatch 1, done 12; st2 wakes 12, dispatches 12, done 23.
 	if got != 23 {
 		t.Errorf("cycles = %d, want 23", got)
 	}
 }
 
-func TestBadConfigPanics(t *testing.T) {
+func TestBadConfigRejected(t *testing.T) {
 	for name, c := range map[string]Config{
 		"zero units":     {MemLatency: 11, BranchLatency: 5, Size: 8, Bus: bus.Bus1},
 		"size too small": {MemLatency: 11, BranchLatency: 5, IssueUnits: 4, Size: 2, Bus: bus.BusN},
 		"xbar":           {MemLatency: 11, BranchLatency: 5, IssueUnits: 2, Size: 8, Bus: bus.XBar},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: New did not panic", name)
-				}
-			}()
-			New(c)
-		}()
+		if _, err := New(c); err == nil {
+			t.Errorf("%s: New accepted the configuration", name)
+		}
 	}
+}
+
+// mustNew builds a simulator, failing the test on a configuration
+// error.
+func mustNew(t *testing.T, cfg Config) *Simulator {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestSimulatorReusable(t *testing.T) {
@@ -168,7 +174,7 @@ func TestSimulatorReusable(t *testing.T) {
 		mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)),
 		mkOp(1, isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)),
 	}}
-	s := New(cfg115(2, 8, bus.BusN))
+	s := mustNew(t, cfg115(2, 8, bus.BusN))
 	if a, b := s.Run(tr), s.Run(tr); a != b {
 		t.Errorf("reruns differ: %d vs %d", a, b)
 	}
@@ -217,7 +223,7 @@ func TestRandomTracesTerminateAndRespectWidth(t *testing.T) {
 			op.Seq = int64(i)
 			ops = append(ops, op)
 		}
-		cycles := New(Config{MemLatency: 11, BranchLatency: 5, IssueUnits: n, Size: size, Bus: kind}).
+		cycles := mustNew(t, Config{MemLatency: 11, BranchLatency: 5, IssueUnits: n, Size: size, Bus: kind}).
 			Run(&trace.Trace{Ops: ops})
 		lower := int64((count + n - 1) / n)
 		return cycles >= lower

@@ -37,7 +37,10 @@ func TestPreservesKernelSemantics(t *testing.T) {
 // machine, scheduled code should run at least as fast as the original
 // on the suite aggregate, and never collapse on any single loop.
 func TestSchedulingHelpsOrIsNeutral(t *testing.T) {
-	machine := core.NewBasic(core.CRAYLike, core.M11BR5)
+	machine, err := core.New("cray", core.M11BR5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sumBase, sumSched float64
 	for _, k := range loops.All() {
 		base := machine.Run(k.SharedTrace()).IssueRate()

@@ -16,8 +16,8 @@
 //     job queue shed load explicitly (429 + Retry-After) instead of
 //     collapsing under it, and every accepted job carries a deadline
 //     plumbed into the simulation guard (internal/simerr);
-//   - fault containment: jobs run through runner.RunChecked (per-cell
-//     recover, transient retry with backoff), and a circuit breaker
+//   - fault containment: jobs run through runner.RunCheckedStats
+//     (per-cell recover, transient retry with backoff), and a circuit breaker
 //     quarantines a (machine, workload) pair after repeated permanent
 //     failures instead of re-burning cycles on it;
 //   - durability: the content-addressed result cache appends to a

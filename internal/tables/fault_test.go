@@ -21,7 +21,7 @@ type explodingMachine struct{ inner core.Machine }
 
 func (m *explodingMachine) Name() string                   { return "Exploding" }
 func (m *explodingMachine) Run(t *trace.Trace) core.Result { panic("injected table-cell panic") }
-func (m *explodingMachine) SetProbe(p probe.Probe)         {}
+func (m *explodingMachine) SetProbe(p *probe.Counters)     {}
 func (m *explodingMachine) SetRecorder(r *events.Recorder) {}
 func (m *explodingMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result, error) {
 	panic("injected table-cell panic")
@@ -32,20 +32,20 @@ func (m *explodingMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Res
 // values everywhere else.
 func TestBatchIsolatesPanickingCell(t *testing.T) {
 	ts := classTraces(loops.Scalar)
-	healthy := func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }
+	healthy := baseSpec("cray", core.M11BR5)
 
 	var ref batch
-	ref.cell(healthy, ts)
-	ref.cell(healthy, ts)
+	ref.defCell(healthy, ts)
+	ref.defCell(healthy, ts)
 	refRates, refErrs := ref.rates()
 	if len(refErrs) != 0 {
 		t.Fatalf("reference batch failed: %v", refErrs)
 	}
 
 	var b batch
-	b.cell(healthy, ts)
+	b.defCell(healthy, ts)
 	b.cell(func() core.Machine { return &explodingMachine{} }, ts)
-	b.cell(healthy, ts)
+	b.defCell(healthy, ts)
 	rates, errs := b.rates()
 
 	if len(rates) != 3 {

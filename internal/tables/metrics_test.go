@@ -154,7 +154,7 @@ func TestMetricsEncoders(t *testing.T) {
 type zeroRateMachine struct{}
 
 func (zeroRateMachine) Name() string                   { return "ZeroRate" }
-func (zeroRateMachine) SetProbe(p probe.Probe)         {}
+func (zeroRateMachine) SetProbe(p *probe.Counters)     {}
 func (zeroRateMachine) SetRecorder(r *events.Recorder) {}
 func (zeroRateMachine) Run(t *trace.Trace) core.Result { return core.Result{Trace: t.Name} }
 func (zeroRateMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result, error) {
@@ -168,7 +168,7 @@ func (zeroRateMachine) RunChecked(t *trace.Trace, lim core.Limits) (core.Result,
 func TestBatchRejectsNonPositiveRate(t *testing.T) {
 	ts := classTraces(loops.Scalar)
 	var b batch
-	b.cell(func() core.Machine { return core.NewBasic(core.CRAYLike, core.M11BR5) }, ts)
+	b.defCell(baseSpec("cray", core.M11BR5), ts)
 	b.cell(func() core.Machine { return zeroRateMachine{} }, ts)
 	rates, errs := b.rates()
 

@@ -20,19 +20,19 @@ type invariantTask struct {
 // invariantTasks covers every machine model. The multiple-issue
 // machines run with two issue units, so their issue rate may reach —
 // but never pass — 2.0.
-func invariantTasks() []invariantTask {
+func invariantTasks(t testing.TB) []invariantTask {
 	wide := func(cfg mfup.Config) mfup.Config { return cfg.WithIssue(2, bus.BusN) }
 	return []invariantTask{
-		{"Simple", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.Simple, cfg) }},
-		{"SerialMemory", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.SerialMemory, cfg) }},
-		{"NonSegmented", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.NonSegmented, cfg) }},
-		{"CRAYLike", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewBasic(mfup.CRAYLike, cfg) }},
-		{"Scoreboard", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewScoreboard(cfg) }},
-		{"Tomasulo", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewTomasulo(cfg) }},
-		{"MultiIssue", 2, func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssue(wide(cfg)) }},
-		{"MultiIssueOOO", 2, func(cfg mfup.Config) mfup.Machine { return mfup.NewMultiIssueOOO(wide(cfg)) }},
-		{"RUU", 2, func(cfg mfup.Config) mfup.Machine { return mfup.NewRUU(wide(cfg).WithRUU(20)) }},
-		{"Vector", 1, func(cfg mfup.Config) mfup.Machine { return mfup.NewVector(cfg) }},
+		{"Simple", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "simple", cfg) }},
+		{"SerialMemory", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "serialmem", cfg) }},
+		{"NonSegmented", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "nonseg", cfg) }},
+		{"CRAYLike", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "cray", cfg) }},
+		{"Scoreboard", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "scoreboard", cfg) }},
+		{"Tomasulo", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "tomasulo", cfg) }},
+		{"MultiIssue", 2, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "multi", wide(cfg)) }},
+		{"MultiIssueOOO", 2, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "ooo", wide(cfg)) }},
+		{"RUU", 2, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "ruu", wide(cfg).WithRUU(20)) }},
+		{"Vector", 1, func(cfg mfup.Config) mfup.Machine { return mustNew(t, "vector", cfg) }},
 	}
 }
 
@@ -52,7 +52,7 @@ func TestCrossModelInvariants(t *testing.T) {
 	for _, k := range mfup.KernelsByClass(mfup.Scalar) {
 		traces = append(traces, k.SharedTrace())
 	}
-	models := invariantTasks()
+	models := invariantTasks(t)
 
 	for _, cfg := range mfup.BaseConfigs() {
 		var tasks []runner.Task
@@ -63,7 +63,7 @@ func TestCrossModelInvariants(t *testing.T) {
 				Traces: traces,
 			})
 		}
-		out, errs := runner.RunChecked(context.Background(),
+		out, _, errs := runner.RunCheckedStats(context.Background(),
 			runner.Options{Parallel: 8, Limits: mfup.DefaultSimLimits()}, tasks)
 		for _, e := range errs {
 			t.Errorf("%s: cell (%d,%d) failed: %v", cfg.Name(), e.Task, e.Trace, e)

@@ -18,8 +18,11 @@
 //
 // Quick start:
 //
-//	k := mfup.MustKernel(1)                     // LFK 1, hydro fragment
-//	m := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
+//	k := mfup.MustKernel(1)                 // LFK 1, hydro fragment
+//	m, err := mfup.New("cray", mfup.M11BR5) // the CRAY-like machine
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	r := m.Run(k.SharedTrace())
 //	fmt.Printf("%.2f instructions/cycle\n", r.IssueRate())
 package mfup
@@ -45,9 +48,6 @@ type (
 	// Result is one simulation outcome; IssueRate() is the paper's
 	// metric.
 	Result = core.Result
-
-	// Organization selects one of the four §3 single-issue machines.
-	Organization = core.Organization
 
 	// BusKind selects the result-bus interconnect of §5.
 	BusKind = bus.Kind
@@ -96,17 +96,6 @@ var (
 // BaseConfigs returns the four variations in table order.
 func BaseConfigs() []Config { return core.BaseConfigs() }
 
-// The §3 single-issue machine organizations.
-const (
-	Simple       = core.Simple
-	SerialMemory = core.SerialMemory
-	NonSegmented = core.NonSegmented
-	CRAYLike     = core.CRAYLike
-)
-
-// Organizations returns the §3 machines in Table 1 order.
-func Organizations() []Organization { return core.Organizations() }
-
 // Result-bus interconnects (§5.1).
 const (
 	XBar = bus.XBar
@@ -126,70 +115,17 @@ const (
 	Serial = limits.Serial
 )
 
-// NewBasic builds one of the four basic single-issue machines of §3.
-func NewBasic(o Organization, cfg Config) Machine { return core.NewBasic(o, cfg) }
-
-// NewMultiIssue builds the §5.1 machine: cfg.IssueUnits stations with
-// strictly in-order issue. Use Config.WithIssue to set the width and
-// bus kind.
-func NewMultiIssue(cfg Config) Machine { return core.NewMultiIssue(cfg) }
-
-// NewMultiIssueOOO builds the §5.2 machine: out-of-order issue within
-// the instruction buffer.
-func NewMultiIssueOOO(cfg Config) Machine { return core.NewMultiIssueOOO(cfg) }
-
-// NewRUU builds the §5.3 machine: multiple issue units with RUU
-// dependency resolution. Use Config.WithIssue and Config.WithRUU.
-func NewRUU(cfg Config) Machine { return core.NewRUU(cfg) }
-
-// NewScoreboard builds the CDC-6600-style single-issue dependency-
-// resolution machine referenced in §3.3: instructions issue past RAW
-// hazards (waiting at their functional units) but WAW hazards still
-// block issue.
-func NewScoreboard(cfg Config) Machine { return core.NewScoreboard(cfg) }
-
-// NewTomasulo builds the IBM 360/91-style single-issue machine
-// referenced in §3.3: per-unit reservation stations, tag-based
-// renaming (no WAW or WAR stalls), and a single common data bus.
-// cfg.RUUSize, when positive, sets the stations per unit.
-func NewTomasulo(cfg Config) Machine { return core.NewTomasulo(cfg) }
-
-// NewVector builds the vector-extension machine: the CRAY-like
-// scalar machine plus a CRAY-1-style vector unit with chaining (§3.2
-// discusses exactly this sharing of functional units between scalar
-// and vector operations). It is the only machine that accepts vector
-// traces; the scalar machines reject them.
-func NewVector(cfg Config) Machine { return core.NewVector(cfg) }
-
-// Checked constructors: each validates its configuration and returns
-// an error instead of panicking. The unchecked constructors above are
-// thin wrappers that panic on the same errors. Machines from either
-// family offer both Run (panics on failure) and RunChecked (returns a
-// *SimError and honors SimLimits).
-
-// NewBasicChecked is NewBasic with configuration validation.
-func NewBasicChecked(o Organization, cfg Config) (Machine, error) {
-	return core.NewBasicChecked(o, cfg)
-}
-
-// NewMultiIssueChecked is NewMultiIssue with configuration validation.
-func NewMultiIssueChecked(cfg Config) (Machine, error) { return core.NewMultiIssueChecked(cfg) }
-
-// NewMultiIssueOOOChecked is NewMultiIssueOOO with configuration
-// validation.
-func NewMultiIssueOOOChecked(cfg Config) (Machine, error) { return core.NewMultiIssueOOOChecked(cfg) }
-
-// NewRUUChecked is NewRUU with configuration validation.
-func NewRUUChecked(cfg Config) (Machine, error) { return core.NewRUUChecked(cfg) }
-
-// NewScoreboardChecked is NewScoreboard with configuration validation.
-func NewScoreboardChecked(cfg Config) (Machine, error) { return core.NewScoreboardChecked(cfg) }
-
-// NewTomasuloChecked is NewTomasulo with configuration validation.
-func NewTomasuloChecked(cfg Config) (Machine, error) { return core.NewTomasuloChecked(cfg) }
-
-// NewVectorChecked is NewVector with configuration validation.
-func NewVectorChecked(cfg Config) (Machine, error) { return core.NewVectorChecked(cfg) }
+// New builds the machine of the given kind from cfg, or reports why
+// it cannot: an unknown kind or an invalid configuration. The kinds
+// are simple, serialmem, nonseg and cray (the §3 organizations),
+// scoreboard and tomasulo (the §3.3 dependency-resolution schemes;
+// a positive cfg.RUUSize sets Tomasulo's stations per unit), multi,
+// ooo and ruu (the §5.1-5.3 multiple-issue machines; use
+// Config.WithIssue and Config.WithRUU), and vector (the CRAY-1-style
+// vector extension, the only machine that accepts vector traces).
+// Every machine offers Run (panics on failure) and RunChecked
+// (returns a *SimError and honors SimLimits).
+func New(kind string, cfg Config) (Machine, error) { return core.New(kind, cfg) }
 
 // Kernels returns all 14 Livermore loops in kernel order.
 func Kernels() []*Kernel { return loops.All() }
@@ -214,7 +150,7 @@ func MustKernel(n int) *Kernel {
 
 // VectorKernels returns the hand-vectorized codings of the
 // representative vectorizable kernels (all nine vectorizable kernels), for use with
-// NewVector.
+// the vector machine.
 func VectorKernels() []*Kernel { return loops.VectorKernels() }
 
 // VectorKernel returns the vectorized coding of kernel n, if one
@@ -249,7 +185,9 @@ type (
 
 // Extrapolate wraps m with the steady-state extrapolation engine.
 //
-//	m := mfup.Extrapolate(mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5))
+//	cray, err := mfup.New("cray", mfup.M11BR5)
+//	...
+//	m := mfup.Extrapolate(cray)
 //	r := m.Run(k.SharedTrace())   // same Result, O(1) in iterations
 func Extrapolate(m Machine) *Extrapolator { return core.Extrapolate(m) }
 

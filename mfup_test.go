@@ -2,11 +2,23 @@ package mfup_test
 
 import (
 	"fmt"
+	"log"
 	"strings"
 	"testing"
 
 	"mfup"
 )
+
+// mustNew builds the machine of the given kind through the facade,
+// failing the test if the configuration is rejected.
+func mustNew(tb testing.TB, kind string, cfg mfup.Config) mfup.Machine {
+	tb.Helper()
+	m, err := mfup.New(kind, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
 
 func TestPublicKernelAccess(t *testing.T) {
 	if got := len(mfup.Kernels()); got != 14 {
@@ -41,14 +53,14 @@ func TestEndToEndSimulation(t *testing.T) {
 	tr := k.SharedTrace()
 	for _, cfg := range mfup.BaseConfigs() {
 		var prev float64
-		for _, org := range mfup.Organizations() {
-			r := mfup.NewBasic(org, cfg).Run(tr)
+		for _, kind := range []string{"simple", "serialmem", "nonseg", "cray"} {
+			r := mustNew(t, kind, cfg).Run(tr)
 			rate := r.IssueRate()
 			if rate <= 0 || rate >= 1 {
-				t.Errorf("%s %s: rate %.3f outside (0,1)", org, cfg.Name(), rate)
+				t.Errorf("%s %s: rate %.3f outside (0,1)", kind, cfg.Name(), rate)
 			}
 			if rate < prev-1e-12 {
-				t.Errorf("%s %s: organization ordering violated", org, cfg.Name())
+				t.Errorf("%s %s: organization ordering violated", kind, cfg.Name())
 			}
 			prev = rate
 		}
@@ -57,10 +69,10 @@ func TestEndToEndSimulation(t *testing.T) {
 
 func TestAdvancedMachinesViaFacade(t *testing.T) {
 	tr := mfup.MustKernel(7).SharedTrace()
-	cray := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).IssueRate()
-	multi := mfup.NewMultiIssue(mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
-	ooo := mfup.NewMultiIssueOOO(mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
-	ruu := mfup.NewRUU(mfup.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr).IssueRate()
+	cray := mustNew(t, "cray", mfup.M11BR5).Run(tr).IssueRate()
+	multi := mustNew(t, "multi", mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
+	ooo := mustNew(t, "ooo", mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
+	ruu := mustNew(t, "ruu", mfup.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr).IssueRate()
 	if !(cray <= multi+1e-9 && multi <= ooo+1e-9 && ooo < ruu) {
 		t.Errorf("machine sophistication ordering violated: cray=%.3f multi=%.3f ooo=%.3f ruu=%.3f",
 			cray, multi, ooo, ruu)
@@ -97,7 +109,7 @@ func TestCustomProgramWorkflow(t *testing.T) {
 	if got := m.Float(65); got != 4.5 {
 		t.Errorf("program computed %v, want 4.5", got)
 	}
-	r := mfup.NewBasic(mfup.CRAYLike, mfup.M5BR2).Run(tr)
+	r := mustNew(t, "cray", mfup.M5BR2).Run(tr)
 	if r.Instructions != 5 || r.Cycles == 0 {
 		t.Errorf("simulation result %+v", r)
 	}
@@ -123,10 +135,13 @@ func TestGenerateTable(t *testing.T) {
 	}
 }
 
-// ExampleNewBasic is the README quick start.
-func ExampleNewBasic() {
+// ExampleNew is the README quick start.
+func ExampleNew() {
 	k := mfup.MustKernel(1)
-	m := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5)
+	m, err := mfup.New("cray", mfup.M11BR5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	r := m.Run(k.SharedTrace())
 	fmt.Printf("%s: %.2f instructions/cycle\n", k, r.IssueRate())
 	// Output: LFK 1 (hydro fragment): 0.29 instructions/cycle
@@ -153,9 +168,9 @@ func TestVectorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := mfup.NewVector(mfup.M11BR5).Run(tr)
+	vec := mustNew(t, "vector", mfup.M11BR5).Run(tr)
 	sk := mfup.MustKernel(7)
-	cray := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(sk.SharedTrace())
+	cray := mustNew(t, "cray", mfup.M11BR5).Run(sk.SharedTrace())
 	if vec.Cycles*3 > cray.Cycles {
 		t.Errorf("vector LFK 7 (%d cycles) not clearly faster than scalar (%d)", vec.Cycles, cray.Cycles)
 	}
@@ -166,9 +181,9 @@ func TestVectorFacade(t *testing.T) {
 
 func TestDependencyResolutionFacade(t *testing.T) {
 	tr := mfup.MustKernel(5).SharedTrace()
-	cray := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).IssueRate()
-	sb := mfup.NewScoreboard(mfup.M11BR5).Run(tr).IssueRate()
-	tom := mfup.NewTomasulo(mfup.M11BR5).Run(tr).IssueRate()
+	cray := mustNew(t, "cray", mfup.M11BR5).Run(tr).IssueRate()
+	sb := mustNew(t, "scoreboard", mfup.M11BR5).Run(tr).IssueRate()
+	tom := mustNew(t, "tomasulo", mfup.M11BR5).Run(tr).IssueRate()
 	if !(cray <= sb && sb <= tom) {
 		t.Errorf("dependency-resolution ordering violated: %.3f, %.3f, %.3f", cray, sb, tom)
 	}
@@ -185,8 +200,8 @@ func TestScheduleProgramFacade(t *testing.T) {
 	if err := k.Validate(m); err != nil {
 		t.Fatalf("scheduled program invalid: %v", err)
 	}
-	base := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(k.SharedTrace()).IssueRate()
-	sched := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).IssueRate()
+	base := mustNew(t, "cray", mfup.M11BR5).Run(k.SharedTrace()).IssueRate()
+	sched := mustNew(t, "cray", mfup.M11BR5).Run(tr).IssueRate()
 	if sched <= base {
 		t.Errorf("scheduling did not help LFK 7: %.3f -> %.3f", base, sched)
 	}
@@ -207,8 +222,8 @@ func TestScaledKernelFacade(t *testing.T) {
 
 func TestPerfectBranchesFacade(t *testing.T) {
 	tr := mfup.MustKernel(12).SharedTrace()
-	base := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5).Run(tr).Cycles
-	ideal := mfup.NewBasic(mfup.CRAYLike, mfup.M11BR5.WithPerfectBranches()).Run(tr).Cycles
+	base := mustNew(t, "cray", mfup.M11BR5).Run(tr).Cycles
+	ideal := mustNew(t, "cray", mfup.M11BR5.WithPerfectBranches()).Run(tr).Cycles
 	if ideal >= base {
 		t.Errorf("perfect branches did not help: %d -> %d", base, ideal)
 	}
