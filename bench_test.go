@@ -118,7 +118,7 @@ func benchMachine(b *testing.B, m core.Machine) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, t := range ts {
-			m.Run(t)
+			mustRun(b, m, t)
 		}
 	}
 	b.ReportMetric(float64(ops*int64(b.N))/b.Elapsed().Seconds(), "instrs/s")
@@ -181,8 +181,8 @@ func BenchmarkAblationXBarVsNBus(b *testing.B) {
 		mx := mustNew(b, "multi", core.M11BR5.WithIssue(4, mfup.XBar))
 		mn := mustNew(b, "multi", core.M11BR5.WithIssue(4, mfup.BusN))
 		for _, t := range ts {
-			rx = append(rx, mx.Run(t).IssueRate())
-			rn = append(rn, mn.Run(t).IssueRate())
+			rx = append(rx, mustRun(b, mx, t).IssueRate())
+			rn = append(rn, mustRun(b, mn, t).IssueRate())
 		}
 		xbar, nbus = stats.HarmonicMean(rx), stats.HarmonicMean(rn)
 	}
@@ -201,7 +201,7 @@ func BenchmarkAblationMemoryVsPipelining(b *testing.B) {
 			m := mustNew(b, kind, core.M11BR5)
 			var rs []float64
 			for _, t := range ts {
-				rs = append(rs, m.Run(t).IssueRate())
+				rs = append(rs, mustRun(b, m, t).IssueRate())
 			}
 			return stats.HarmonicMean(rs)
 		}
@@ -224,8 +224,8 @@ func BenchmarkAblationRUUBankPartitioning(b *testing.B) {
 		ms := mustNew(b, "ruu", core.M11BR5.WithIssue(4, mfup.Bus1).WithRUU(40))
 		var rb, rs []float64
 		for _, t := range ts {
-			rb = append(rb, mb.Run(t).IssueRate())
-			rs = append(rs, ms.Run(t).IssueRate())
+			rb = append(rb, mustRun(b, mb, t).IssueRate())
+			rs = append(rs, mustRun(b, ms, t).IssueRate())
 		}
 		banked, shared = stats.HarmonicMean(rb), stats.HarmonicMean(rs)
 	}
@@ -244,7 +244,7 @@ func BenchmarkAblationMemoryBanks(b *testing.B) {
 			m := mustNew(b, "cray", core.M11BR5.WithMemBanks(banks))
 			var rs []float64
 			for _, t := range ts {
-				rs = append(rs, m.Run(t).IssueRate())
+				rs = append(rs, mustRun(b, m, t).IssueRate())
 			}
 			rates[banks] = stats.HarmonicMean(rs)
 		}
@@ -278,7 +278,7 @@ func BenchmarkAblationSoftwareScheduling(b *testing.B) {
 	hm := func(m core.Machine, ts []*trace.Trace) float64 {
 		var rs []float64
 		for _, t := range ts {
-			rs = append(rs, m.Run(t).IssueRate())
+			rs = append(rs, mustRun(b, m, t).IssueRate())
 		}
 		return stats.HarmonicMean(rs)
 	}
@@ -302,7 +302,7 @@ func BenchmarkAblationPerfectBranches(b *testing.B) {
 	hm := func(m core.Machine) float64 {
 		var rs []float64
 		for _, t := range ts {
-			rs = append(rs, m.Run(t).IssueRate())
+			rs = append(rs, mustRun(b, m, t).IssueRate())
 		}
 		return stats.HarmonicMean(rs)
 	}
@@ -345,9 +345,9 @@ func BenchmarkAblationVectorVsSuperscalar(b *testing.B) {
 				b.Fatal(err)
 			}
 			vtr := vk.MustTrace()
-			v := float64(vec.Run(vtr).Cycles)
-			vsCray += float64(cray.Run(sk.SharedTrace()).Cycles) / v
-			vsRUU += float64(ruu.Run(sk.SharedTrace()).Cycles) / v
+			v := float64(mustRun(b, vec, vtr).Cycles)
+			vsCray += float64(mustRun(b, cray, sk.SharedTrace()).Cycles) / v
+			vsRUU += float64(mustRun(b, ruu, sk.SharedTrace()).Cycles) / v
 		}
 		vsCray /= float64(len(vks))
 		vsRUU /= float64(len(vks))
@@ -404,7 +404,7 @@ func BenchmarkExtrapolation(b *testing.B) {
 	var fullInstr int64
 	start := time.Now()
 	for i := 0; i < fullRuns; i++ {
-		fullInstr = full.Run(tr).Instructions
+		fullInstr = mustRun(b, full, tr).Instructions
 	}
 	fullPerInstr := time.Since(start).Seconds() / float64(fullRuns) / float64(fullInstr)
 

@@ -115,12 +115,21 @@ func main() {
 		fmt.Printf("== %s: %d dynamic instructions, result %.6f ==\n",
 			v.name, tr.Len(), m.Float(qAddr))
 
-		cray := crayM.Run(tr)
-		ruu := ruuM.Run(tr)
+		cray := run(crayM, tr)
+		ruu := run(ruuM, tr)
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure)
 		fmt.Printf("CRAY-like single issue:  %.3f/cycle\n", cray.IssueRate())
 		fmt.Printf("RUU 4 units, 50 entries: %.3f/cycle\n", ruu.IssueRate())
 		fmt.Printf("dataflow limit:          %.3f/cycle (critical path %d cycles)\n\n",
 			lim.Actual, lim.CriticalPath)
 	}
+}
+
+// run simulates tr on m, stopping the program on a simulation error.
+func run(m mfup.Machine, tr *mfup.Trace) mfup.Result {
+	r, err := m.RunChecked(tr, mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

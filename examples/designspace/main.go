@@ -68,7 +68,16 @@ func main() {
 func harmonic(m mfup.Machine, kernels []*mfup.Kernel) float64 {
 	var invSum float64
 	for _, k := range kernels {
-		invSum += 1 / m.Run(k.SharedTrace()).IssueRate()
+		invSum += 1 / run(m, k.SharedTrace()).IssueRate()
 	}
 	return float64(len(kernels)) / invSum
+}
+
+// run simulates tr on m, stopping the program on a simulation error.
+func run(m mfup.Machine, tr *mfup.Trace) mfup.Result {
+	r, err := m.RunChecked(tr, mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

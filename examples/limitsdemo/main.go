@@ -66,9 +66,18 @@ func main() {
 	for _, k := range []*mfup.Kernel{rec, ind} {
 		tr := k.SharedTrace()
 		lim := mfup.ComputeLimits(tr, cfg, mfup.Pure).Actual
-		cray := crayM.Run(tr).IssueRate()
-		ruu := ruuM.Run(tr).IssueRate()
+		cray := run(crayM, tr).IssueRate()
+		ruu := run(ruuM, tr).IssueRate()
 		fmt.Printf("%-34s limit %.3f   CRAY-like %.3f (%2.0f%%)   RUU4/100 %.3f (%2.0f%%)\n",
 			k, lim, cray, 100*cray/lim, ruu, 100*ruu/lim)
 	}
+}
+
+// run simulates tr on m, stopping the program on a simulation error.
+func run(m mfup.Machine, tr *mfup.Trace) mfup.Result {
+	r, err := m.RunChecked(tr, mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

@@ -31,10 +31,14 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			r, err := m.RunChecked(tr, mfup.SimLimits{})
+			if err != nil {
+				log.Fatal(err)
+			}
 			if i == 0 {
 				fmt.Printf("%-14s", m.Name())
 			}
-			fmt.Printf("%9.3f", m.Run(tr).IssueRate())
+			fmt.Printf("%9.3f", r.IssueRate())
 		}
 		fmt.Println()
 	}
@@ -48,7 +52,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		ruu := m.Run(tr)
+		ruu, err := m.RunChecked(tr, mfup.SimLimits{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("%s: dataflow limit %.3f, RUU(4 units, 50 entries) achieves %.3f (%.0f%%)\n",
 			cfg.Name(), lim.Actual, ruu.IssueRate(), 100*ruu.IssueRate()/lim.Actual)
 	}

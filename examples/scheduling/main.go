@@ -32,7 +32,7 @@ func main() {
 	fmt.Printf("%-38s %10s %10s %7s %12s %12s\n",
 		"kernel", "cray", "cray+sched", "gain", "ruu", "ruu+sched")
 	for _, k := range mfup.Kernels() {
-		base := cray.Run(k.SharedTrace()).IssueRate()
+		base := run(cray, k.SharedTrace()).IssueRate()
 
 		scheduled := mfup.ScheduleProgram(k.Program(), cfg)
 		m := k.NewMachine()
@@ -44,10 +44,10 @@ func main() {
 		if err := k.Validate(m); err != nil {
 			log.Fatalf("%s: scheduled program wrong: %v", k, err)
 		}
-		after := cray.Run(tr).IssueRate()
+		after := run(cray, tr).IssueRate()
 
-		ruuBase := ruu.Run(k.SharedTrace()).IssueRate()
-		ruuAfter := ruu.Run(tr).IssueRate()
+		ruuBase := run(ruu, k.SharedTrace()).IssueRate()
+		ruuAfter := run(ruu, tr).IssueRate()
 
 		fmt.Printf("%-38s %10.3f %10.3f %+6.1f%% %12.3f %12.3f\n",
 			k, base, after, 100*(after-base)/base, ruuBase, ruuAfter)
@@ -55,4 +55,13 @@ func main() {
 	fmt.Println("\nHardware dependency resolution (RUU) and software scheduling chase")
 	fmt.Println("the same blockages; the RUU columns move far less because the")
 	fmt.Println("hardware already tolerates the latencies the scheduler hides.")
+}
+
+// run simulates tr on m, stopping the program on a simulation error.
+func run(m mfup.Machine, tr *mfup.Trace) mfup.Result {
+	r, err := m.RunChecked(tr, mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

@@ -50,9 +50,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		c := cray.Run(sk.SharedTrace()).Cycles
-		r := ruu.Run(sk.SharedTrace()).Cycles
-		v := vec.Run(vtr).Cycles
+		c := run(cray, sk.SharedTrace()).Cycles
+		r := run(ruu, sk.SharedTrace()).Cycles
+		v := run(vec, vtr).Cycles
 		fmt.Printf("%-34s %12d %12d %12d %9.1fx %9.1fx\n",
 			sk, c, r, v, float64(c)/float64(v), float64(r)/float64(v))
 	}
@@ -65,4 +65,13 @@ superscalar. The reductions are the exception: the inner product's
 serialize, and there the RUU machine wins. This is the trade §3.2
 gestures at when it discusses sharing pipelined functional units
 between scalar and vector work.`)
+}
+
+// run simulates tr on m, stopping the program on a simulation error.
+func run(m mfup.Machine, tr *mfup.Trace) mfup.Result {
+	r, err := m.RunChecked(tr, mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return r
 }

@@ -44,6 +44,17 @@ func mustNew(tb testing.TB, kind string, cfg Config) Machine {
 	return m
 }
 
+// mustRun runs tr on m with no limits, failing the test on a
+// simulation error.
+func mustRun(tb testing.TB, m Machine, tr *trace.Trace) Result {
+	tb.Helper()
+	r, err := m.RunChecked(tr, Limits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 // everyMachine returns one instance of every machine model under cfg.
 func everyMachine(t testing.TB, cfg Config) []Machine {
 	w := cfg.WithIssue(2, bus.BusN)
@@ -142,22 +153,17 @@ func TestDeadlineFires(t *testing.T) {
 	}
 }
 
-// TestCheckedMatchesLegacyRun: with zero limits, RunChecked is
-// exactly the legacy Run on every machine — same cycle counts, no
-// error. This is the healthy-path byte-identity guarantee at the
-// Result level.
-func TestCheckedMatchesLegacyRun(t *testing.T) {
+// TestLimitsDoNotChangeHealthyRuns: on every machine a healthy run
+// gives the same Result unlimited, again on the reused machine, and
+// under the production defaults, which must not fire. This is the
+// healthy-path byte-identity guarantee at the Result level.
+func TestLimitsDoNotChangeHealthyRuns(t *testing.T) {
 	tr := livelockTrace(t)
 	for _, cfg := range BaseConfigs() {
 		for _, m := range everyMachine(t, cfg) {
-			want := m.Run(tr)
-			got, err := m.RunChecked(tr, Limits{})
-			if err != nil {
-				t.Errorf("%s %s: RunChecked: %v", m.Name(), cfg.Name(), err)
-				continue
-			}
-			if got != want {
-				t.Errorf("%s %s: RunChecked %+v != Run %+v", m.Name(), cfg.Name(), got, want)
+			want := mustRun(t, m, tr)
+			if got := mustRun(t, m, tr); got != want {
+				t.Errorf("%s %s: rerun %+v != first run %+v", m.Name(), cfg.Name(), got, want)
 			}
 			// The production defaults must not fire on a healthy run.
 			got2, err := m.RunChecked(tr, DefaultLimits())

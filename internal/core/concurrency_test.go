@@ -27,7 +27,7 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 	}
 	want := make([]Result, len(makers))
 	for i, mk := range makers {
-		want[i] = mk().Run(tr)
+		want[i] = mustRun(t, mk(), tr)
 	}
 
 	const repeats = 4
@@ -38,7 +38,11 @@ func TestSharedTraceConcurrentMachines(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[rep*len(makers)+i] = mk().Run(tr)
+				r, err := mk().RunChecked(tr, Limits{})
+				if err != nil {
+					t.Error(err)
+				}
+				got[rep*len(makers)+i] = r
 			}()
 		}
 	}
@@ -69,8 +73,8 @@ func TestMachineReusableAfterRun(t *testing.T) {
 		mustNew(t, "ruu", cfg.WithIssue(1, bus.BusN).WithRUU(10)),
 	}
 	for _, m := range machines {
-		first := m.Run(tr)
-		second := m.Run(tr)
+		first := mustRun(t, m, tr)
+		second := mustRun(t, m, tr)
 		if first != second {
 			t.Errorf("%s: repeated runs differ: %+v then %+v", m.Name(), first, second)
 		}

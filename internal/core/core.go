@@ -15,7 +15,7 @@
 //   - NonSegmented: like SerialMemory with an interleaved (pipelined)
 //     memory; functional units remain unsegmented, as in the CDC 6600
 //     (§3.2).
-//   - CRAYLike: interleaved memory and fully segmented functional
+//   - CRAY-like: interleaved memory and fully segmented functional
 //     units, as in the CRAY-1 (§3.2).
 //   - MultiIssue: CRAY-like functional units with N issue stations
 //     and strictly in-order issue (§5.1).
@@ -232,17 +232,16 @@ func (r Result) String() string {
 
 // Machine is a timing model: it runs a trace and reports cycle
 // counts. Implementations are single-use-at-a-time but reusable:
-// Run and RunChecked fully reset internal state.
+// RunChecked fully resets internal state.
 //
-// RunChecked is the fault-tolerant entry point: the run is bounded by
+// RunChecked is the only way to run a machine: the run is bounded by
 // lim (cycle budget, no-forward-progress watchdog, wall-clock
-// deadline) and every failure — including an unsimulatable trace —
-// comes back as a *SimError rather than a panic. Run is the legacy
-// unlimited form; it panics on unsimulatable traces and is kept as a
-// thin wrapper over RunChecked with zero Limits.
+// deadline; the zero Limits checks nothing) and every failure —
+// including an unsimulatable trace — comes back as a *SimError rather
+// than a panic.
 //
 // Concurrency contract: machines are stateful and NOT safe for
-// concurrent use — one instance must never execute Run on two
+// concurrent use — one instance must never execute RunChecked on two
 // goroutines at once. To run cells of an experiment grid in parallel,
 // construct a fresh machine per goroutine (internal/runner encodes
 // this by taking constructors, not instances). Traces, by contrast,
@@ -270,7 +269,6 @@ func (r Result) String() string {
 // across concurrently running machines.
 type Machine interface {
 	Name() string
-	Run(t *trace.Trace) Result
 	RunChecked(t *trace.Trace, lim Limits) (Result, error)
 	SetProbe(p *probe.Counters)
 	SetRecorder(r *events.Recorder)
@@ -279,10 +277,10 @@ type Machine interface {
 // builders maps each machine kind to the constructor of its family.
 // The names are internal/machdef's kind names.
 var builders = map[string]func(Config) (Machine, error){
-	"simple":     func(c Config) (Machine, error) { return newBasic(Simple, c) },
-	"serialmem":  func(c Config) (Machine, error) { return newBasic(SerialMemory, c) },
-	"nonseg":     func(c Config) (Machine, error) { return newBasic(NonSegmented, c) },
-	"cray":       func(c Config) (Machine, error) { return newBasic(CRAYLike, c) },
+	"simple":     func(c Config) (Machine, error) { return newBasic(simple, c) },
+	"serialmem":  func(c Config) (Machine, error) { return newBasic(serialMemory, c) },
+	"nonseg":     func(c Config) (Machine, error) { return newBasic(nonSegmented, c) },
+	"cray":       func(c Config) (Machine, error) { return newBasic(crayLike, c) },
 	"scoreboard": newScoreboard,
 	"tomasulo":   newTomasulo,
 	"multi":      newMultiIssue,

@@ -142,10 +142,10 @@ func TestDependencyResolutionOrdering(t *testing.T) {
 	// first two steps are per-loop and the last is aggregate.
 	var sumTom, sumRUU float64
 	for _, k := range loops.All() {
-		cray := mustNew(t, "cray", M11BR5).Run(k.SharedTrace()).IssueRate()
-		sb := mustNew(t, "scoreboard", M11BR5).Run(k.SharedTrace()).IssueRate()
-		tom := mustNew(t, "tomasulo", M11BR5).Run(k.SharedTrace()).IssueRate()
-		ruu := mustNew(t, "ruu", M11BR5.WithIssue(1, bus.BusN).WithRUU(50)).Run(k.SharedTrace()).IssueRate()
+		cray := mustRun(t, mustNew(t, "cray", M11BR5), k.SharedTrace()).IssueRate()
+		sb := mustRun(t, mustNew(t, "scoreboard", M11BR5), k.SharedTrace()).IssueRate()
+		tom := mustRun(t, mustNew(t, "tomasulo", M11BR5), k.SharedTrace()).IssueRate()
+		ruu := mustRun(t, mustNew(t, "ruu", M11BR5.WithIssue(1, bus.BusN).WithRUU(50)), k.SharedTrace()).IssueRate()
 		if sb < cray-1e-9 {
 			t.Errorf("%s: scoreboard (%.4f) below CRAY-like (%.4f)", k, sb, cray)
 		}
@@ -167,7 +167,7 @@ func TestDepResMachinesReusable(t *testing.T) {
 		load(isa.S(2), 7).
 		trace()
 	for _, m := range []Machine{mustNew(t, "scoreboard", M11BR5), mustNew(t, "tomasulo", M11BR5)} {
-		if a, b := m.Run(tr).Cycles, m.Run(tr).Cycles; a != b {
+		if a, b := mustRun(t, m, tr).Cycles, mustRun(t, m, tr).Cycles; a != b {
 			t.Errorf("%s: reruns differ (%d vs %d)", m.Name(), a, b)
 		}
 	}
@@ -209,8 +209,8 @@ func TestPerfectBranchesHelpEveryMachine(t *testing.T) {
 			func(c Config) Machine { return mustNew(t, "tomasulo", c) },
 		}
 		for i, mk := range mks {
-			base := mk(M11BR5).Run(tr)
-			ideal := mk(M11BR5.WithPerfectBranches()).Run(tr)
+			base := mustRun(t, mk(M11BR5), tr)
+			ideal := mustRun(t, mk(M11BR5.WithPerfectBranches()), tr)
 			// The greedy buffered machines admit small Graham-type
 			// anomalies (see TestRUULargelyMonotoneInSize); the
 			// blocking-issue machine does not.

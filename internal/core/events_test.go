@@ -212,7 +212,7 @@ func TestTraceGoldenChromeCRAY(t *testing.T) {
 	m := mustNew(t, "cray", M11BR5)
 	rec := events.NewRecorder(64)
 	m.SetRecorder(rec)
-	m.Run(tr)
+	mustRun(t, m, tr)
 	m.SetRecorder(nil)
 
 	var out strings.Builder
@@ -252,7 +252,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		m := mustNew(b, "ooo", M11BR5.WithIssue(4, bus.BusN))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Run(tr)
+			mustRun(b, m, tr)
 		}
 	})
 	b.Run("recorder", func(b *testing.B) {
@@ -262,7 +262,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			rec.Reset()
-			m.Run(tr)
+			mustRun(b, m, tr)
 		}
 	})
 }

@@ -43,7 +43,7 @@ func (b *builder) trace() *trace.Trace { return &trace.Trace{Name: "micro", Ops:
 
 func cycles(t *testing.T, m Machine, tr *trace.Trace) int64 {
 	t.Helper()
-	r := m.Run(tr)
+	r := mustRun(t, m, tr)
 	if r.Instructions != int64(len(tr.Ops)) {
 		t.Fatalf("%s: counted %d instructions, trace has %d", m.Name(), r.Instructions, len(tr.Ops))
 	}
@@ -504,7 +504,7 @@ func TestRUUInstructionCountIncludesBranches(t *testing.T) {
 		branch(isa.OpJ, true).
 		op(isa.OpSImm, isa.S(2), isa.NoReg, isa.NoReg).
 		trace()
-	r := mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(8)).Run(tr)
+	r := mustRun(t, mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(8)), tr)
 	if r.Instructions != 3 {
 		t.Errorf("instructions = %d, want 3", r.Instructions)
 	}
@@ -532,8 +532,8 @@ func TestMachinesAreReusable(t *testing.T) {
 		mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(10)),
 	}
 	for _, m := range machines {
-		a := m.Run(tr).Cycles
-		b := m.Run(tr).Cycles
+		a := mustRun(t, m, tr).Cycles
+		b := mustRun(t, m, tr).Cycles
 		if a != b {
 			t.Errorf("%s: second run %d cycles, first %d", m.Name(), b, a)
 		}
@@ -548,7 +548,7 @@ func TestEmptyTraceRuns(t *testing.T) {
 		mustNew(t, "ooo", M11BR5.WithIssue(2, bus.BusN)),
 		mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(8)),
 	} {
-		r := m.Run(tr)
+		r := mustRun(t, m, tr)
 		if r.Instructions != 0 || r.Cycles != 0 {
 			t.Errorf("%s on empty trace: %+v", m.Name(), r)
 		}
@@ -631,8 +631,8 @@ func TestMemoryBanksAcrossMachines(t *testing.T) {
 			{mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(30)), mustNew(t, "ruu", M11BR5.WithIssue(2, bus.BusN).WithRUU(30).WithMemBanks(4)), false},
 		}
 		for _, p := range pairs {
-			a := p.ideal.Run(tr).Cycles
-			c := p.banked.Run(tr).Cycles
+			a := mustRun(t, p.ideal, tr).Cycles
+			c := mustRun(t, p.banked, tr).Cycles
 			if p.strict && c < a {
 				t.Errorf("%s on %s: banked memory reduced cycles (%d -> %d)", k, p.ideal.Name(), a, c)
 			}

@@ -65,8 +65,6 @@ func (m *multiIssue) Name() string {
 // the interconnect. Branches and stores produce no register value.
 func usesResultBus(op *trace.Op) bool { return op.Dst.Valid() }
 
-func (m *multiIssue) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
-
 func (m *multiIssue) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *multiIssue) SetRecorder(r *events.Recorder) { m.rec = r }

@@ -6,6 +6,7 @@ import (
 
 	"mfup/internal/core"
 	"mfup/internal/machdef"
+	"mfup/internal/trace"
 )
 
 // basicKinds are the §3 organizations in Table 1 order: increasing
@@ -21,6 +22,17 @@ func mustNew(tb testing.TB, kind string, cfg core.Config) core.Machine {
 		tb.Fatal(err)
 	}
 	return m
+}
+
+// mustRun runs tr on m with no limits, failing the test on a
+// simulation error.
+func mustRun(tb testing.TB, m core.Machine, tr *trace.Trace) core.Result {
+	tb.Helper()
+	r, err := m.RunChecked(tr, core.Limits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
 }
 
 // TestNewBuildsEveryMachdefKind pins core.New and machdef to one

@@ -60,8 +60,6 @@ func (m *multiIssueOOO) Name() string {
 	return fmt.Sprintf("MultiIssueOOO(%d,%s)", m.cfg.IssueUnits, m.cfg.Bus)
 }
 
-func (m *multiIssueOOO) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
-
 func (m *multiIssueOOO) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *multiIssueOOO) SetRecorder(r *events.Recorder) { m.rec = r }

@@ -15,10 +15,10 @@ import (
 func countersFor(t *testing.T, m Machine, b *builder) *probe.Counters {
 	t.Helper()
 	tr := b.trace()
-	bare := m.Run(tr)
+	bare := mustRun(t, m, tr)
 	var c probe.Counters
 	m.SetProbe(&c)
-	got := m.Run(tr)
+	got := mustRun(t, m, tr)
 	m.SetProbe(nil)
 	if got != bare {
 		t.Fatalf("%s: probed result %+v differs from unprobed %+v", m.Name(), got, bare)
@@ -194,7 +194,7 @@ func TestProbeAccumulatesOverLoops(t *testing.T) {
 	runs := 0
 	var cycles int64
 	for _, k := range loops.ByClass(loops.Scalar) {
-		r := m.Run(k.SharedTrace())
+		r := mustRun(t, m, k.SharedTrace())
 		cycles += r.Cycles
 		runs++
 	}
@@ -221,7 +221,7 @@ func BenchmarkProbeOverhead(b *testing.B) {
 		m := mustNew(b, "ooo", M11BR5.WithIssue(4, bus.BusN))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Run(tr)
+			mustRun(b, m, tr)
 		}
 	})
 	b.Run("counters", func(b *testing.B) {
@@ -230,7 +230,7 @@ func BenchmarkProbeOverhead(b *testing.B) {
 		m.SetProbe(&c)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.Run(tr)
+			mustRun(b, m, tr)
 		}
 	})
 }

@@ -10,8 +10,9 @@ import (
 )
 
 // rate runs m over kernel k's cached trace.
-func rate(m core.Machine, k *loops.Kernel) float64 {
-	return m.Run(k.SharedTrace()).IssueRate()
+func rate(t testing.TB, m core.Machine, k *loops.Kernel) float64 {
+	t.Helper()
+	return mustRun(t, m, k.SharedTrace()).IssueRate()
 }
 
 // TestOrganizationOrdering checks the paper's central §3 result on
@@ -23,7 +24,7 @@ func TestOrganizationOrdering(t *testing.T) {
 			var prev float64
 			for _, kind := range basicKinds {
 				m := mustNew(t, kind, cfg)
-				r := rate(m, k)
+				r := rate(t, m, k)
 				if r < prev-1e-12 {
 					t.Errorf("%s %s: %s rate %.4f < previous organization %.4f",
 						k, cfg.Name(), m.Name(), r, prev)
@@ -40,7 +41,7 @@ func TestSingleIssueBelowOne(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, kind := range basicKinds {
 			m := mustNew(t, kind, core.M5BR2)
-			if r := rate(m, k); r > 1 {
+			if r := rate(t, m, k); r > 1 {
 				t.Errorf("%s on %s: issue rate %.3f > 1", k, m.Name(), r)
 			}
 		}
@@ -52,8 +53,8 @@ func TestSingleIssueBelowOne(t *testing.T) {
 func TestFasterMemoryNeverHurts(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, kind := range basicKinds {
-			slow := rate(mustNew(t, kind, core.M11BR5), k)
-			fast := rate(mustNew(t, kind, core.M5BR5), k)
+			slow := rate(t, mustNew(t, kind, core.M11BR5), k)
+			fast := rate(t, mustNew(t, kind, core.M5BR5), k)
 			if fast < slow-1e-12 {
 				t.Errorf("%s on %s: M5 rate %.4f < M11 rate %.4f", k, kind, fast, slow)
 			}
@@ -64,8 +65,8 @@ func TestFasterMemoryNeverHurts(t *testing.T) {
 func TestFasterBranchNeverHurts(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, kind := range basicKinds {
-			slow := rate(mustNew(t, kind, core.M11BR5), k)
-			fast := rate(mustNew(t, kind, core.M11BR2), k)
+			slow := rate(t, mustNew(t, kind, core.M11BR5), k)
+			fast := rate(t, mustNew(t, kind, core.M11BR2), k)
 			if fast < slow-1e-12 {
 				t.Errorf("%s on %s: BR2 rate %.4f < BR5 rate %.4f", k, kind, fast, slow)
 			}
@@ -79,8 +80,8 @@ func TestFasterBranchNeverHurts(t *testing.T) {
 // most marginally slower and never faster.
 func TestMultiIssueOneStationMatchesCRAYLike(t *testing.T) {
 	for _, k := range loops.All() {
-		base := rate(mustNew(t, "cray", core.M11BR5), k)
-		multi := rate(mustNew(t, "multi", core.M11BR5.WithIssue(1, bus.BusN)), k)
+		base := rate(t, mustNew(t, "cray", core.M11BR5), k)
+		multi := rate(t, mustNew(t, "multi", core.M11BR5.WithIssue(1, bus.BusN)), k)
 		if multi > base+1e-12 {
 			t.Errorf("%s: 1-station multi-issue (%.4f) beat the CRAY-like machine (%.4f)", k, multi, base)
 		}
@@ -93,8 +94,8 @@ func TestMultiIssueOneStationMatchesCRAYLike(t *testing.T) {
 // TestMoreStationsHelp: eight in-order stations never lose to one.
 func TestMoreStationsHelp(t *testing.T) {
 	for _, k := range loops.All() {
-		one := rate(mustNew(t, "multi", core.M11BR5.WithIssue(1, bus.BusN)), k)
-		eight := rate(mustNew(t, "multi", core.M11BR5.WithIssue(8, bus.BusN)), k)
+		one := rate(t, mustNew(t, "multi", core.M11BR5.WithIssue(1, bus.BusN)), k)
+		eight := rate(t, mustNew(t, "multi", core.M11BR5.WithIssue(8, bus.BusN)), k)
 		if eight < one-1e-12 {
 			t.Errorf("%s: 8 stations (%.4f) worse than 1 (%.4f)", k, eight, one)
 		}
@@ -108,8 +109,8 @@ func TestMoreStationsHelp(t *testing.T) {
 func TestOOOAtLeastInOrder(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, n := range []int{2, 4, 8} {
-			in := rate(mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.BusN)), k)
-			ooo := rate(mustNew(t, "ooo", core.M11BR5.WithIssue(n, bus.BusN)), k)
+			in := rate(t, mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.BusN)), k)
+			ooo := rate(t, mustNew(t, "ooo", core.M11BR5.WithIssue(n, bus.BusN)), k)
 			if ooo < 0.98*in {
 				t.Errorf("%s N=%d: OOO rate %.4f below in-order %.4f", k, n, ooo, in)
 			}
@@ -121,8 +122,8 @@ func TestOOOAtLeastInOrder(t *testing.T) {
 // a reasonable RUU beats the plain CRAY-like machine on every loop.
 func TestRUUBeatsCRAYLike(t *testing.T) {
 	for _, k := range loops.All() {
-		base := rate(mustNew(t, "cray", core.M11BR5), k)
-		r := rate(mustNew(t, "ruu", core.M11BR5.WithIssue(1, bus.BusN).WithRUU(50)), k)
+		base := rate(t, mustNew(t, "cray", core.M11BR5), k)
+		r := rate(t, mustNew(t, "ruu", core.M11BR5.WithIssue(1, bus.BusN).WithRUU(50)), k)
 		if r <= base {
 			t.Errorf("%s: RUU (%.4f) did not beat CRAY-like (%.4f)", k, r, base)
 		}
@@ -143,7 +144,7 @@ func TestRUULargelyMonotoneInSize(t *testing.T) {
 			var prev float64
 			var first, last float64
 			for i, size := range sizes {
-				r := rate(mustNew(t, "ruu", core.M11BR5.WithIssue(n, bus.BusN).WithRUU(size)), k)
+				r := rate(t, mustNew(t, "ruu", core.M11BR5.WithIssue(n, bus.BusN).WithRUU(size)), k)
 				if r < 0.95*prev {
 					t.Errorf("%s N=%d: RUU %d rate %.4f dips more than 5%% below %.4f",
 						k, n, size, r, prev)
@@ -176,7 +177,7 @@ func TestRatesRespectDataflowLimit(t *testing.T) {
 				mustNew(t, "ruu", cfg.WithIssue(4, bus.BusN).WithRUU(100)),
 			}
 			for _, m := range machines {
-				if r := rate(m, k); r > lim+1e-9 {
+				if r := rate(t, m, k); r > lim+1e-9 {
 					t.Errorf("%s %s: %s rate %.4f exceeds dataflow limit %.4f",
 						k, cfg.Name(), m.Name(), r, lim)
 				}
@@ -191,8 +192,8 @@ func TestRatesRespectDataflowLimit(t *testing.T) {
 func TestXBarMatchesNBus(t *testing.T) {
 	for _, k := range loops.All() {
 		for _, n := range []int{2, 4, 8} {
-			nb := rate(mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.BusN)), k)
-			xb := rate(mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.XBar)), k)
+			nb := rate(t, mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.BusN)), k)
+			xb := rate(t, mustNew(t, "multi", core.M11BR5.WithIssue(n, bus.XBar)), k)
 			if xb < nb-1e-12 {
 				t.Errorf("%s N=%d: X-Bar (%.4f) worse than N-Bus (%.4f)", k, n, xb, nb)
 			}
@@ -239,8 +240,8 @@ func TestIssueRatesStableInN(t *testing.T) {
 		}
 		st := scaled.MustTrace()
 		for _, m := range machines {
-			base := m.Run(k.SharedTrace()).IssueRate()
-			big := m.Run(st).IssueRate()
+			base := mustRun(t, m, k.SharedTrace()).IssueRate()
+			big := mustRun(t, m, st).IssueRate()
 			if rel := (big - base) / base; rel > 0.10 || rel < -0.10 {
 				t.Errorf("%s on %s: rate moved %.1f%% when doubling loop length (%.4f -> %.4f)",
 					k, m.Name(), 100*rel, base, big)

@@ -49,8 +49,6 @@ func (m *ruuMachine) SetProbe(p *probe.Counters) { m.sim.SetProbe(p) }
 
 func (m *ruuMachine) SetRecorder(r *events.Recorder) { m.sim.SetRecorder(r) }
 
-func (m *ruuMachine) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
-
 // RunChecked simulates t under the limits, delegating to the RUU
 // simulator's own checked entry point.
 func (m *ruuMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {

@@ -44,8 +44,6 @@ func (m *scoreboard) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *scoreboard) SetRecorder(r *events.Recorder) { m.rec = r }
 
-func (m *scoreboard) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
-
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *scoreboard) RunChecked(t *trace.Trace, lim Limits) (Result, error) {

@@ -18,7 +18,7 @@ import (
 //	Simple        no overlap: execution is exclusive
 //	SerialMemory  overlap across distinct units; every unit serial
 //	NonSegmented  as above, with interleaved (pipelined) memory
-//	CRAYLike      interleaved memory and fully segmented units
+//	CRAY-like     interleaved memory and fully segmented units
 type singleIssue struct {
 	name      string
 	cfg       Config
@@ -32,59 +32,54 @@ type singleIssue struct {
 	rec   *events.Recorder
 }
 
-// Organization selects one of the four basic machines of §3, in
+// organization selects one of the four basic machines of §3, in
 // increasing order of execution overlap.
-type Organization uint8
+type organization uint8
 
 // The §3 machine organizations.
 const (
-	Simple Organization = iota
-	SerialMemory
-	NonSegmented
-	CRAYLike
+	simple organization = iota
+	serialMemory
+	nonSegmented
+	crayLike
 )
 
 // String names the organization as Table 1 does.
-func (o Organization) String() string {
+func (o organization) String() string {
 	switch o {
-	case Simple:
+	case simple:
 		return "Simple"
-	case SerialMemory:
+	case serialMemory:
 		return "SerialMemory"
-	case NonSegmented:
+	case nonSegmented:
 		return "NonSegmented"
-	case CRAYLike:
+	case crayLike:
 		return "CRAY-like"
 	}
-	return "Organization(?)"
-}
-
-// Organizations returns the §3 machines in Table 1 order.
-func Organizations() []Organization {
-	return []Organization{Simple, SerialMemory, NonSegmented, CRAYLike}
+	return "organization(?)"
 }
 
 // newBasic builds one of the four basic single-issue machines from a
 // validated configuration.
-func newBasic(o Organization, cfg Config) (Machine, error) {
+func newBasic(o organization, cfg Config) (Machine, error) {
 	pool := cfg.newPool()
 	switch o {
-	case Simple, SerialMemory:
+	case simple, serialMemory:
 		// Every unit serial. (For Simple the setting is moot: the
 		// execution stage itself is exclusive.)
-	case NonSegmented:
+	case nonSegmented:
 		pool.SetSegmented(isa.Memory, true)
-	case CRAYLike:
+	case crayLike:
 		pool.SegmentAll()
 	}
 	banks := 0
-	if o == NonSegmented || o == CRAYLike {
+	if o == nonSegmented || o == crayLike {
 		banks = cfg.MemBanks // serial-memory machines have no banking to model
 	}
 	return &singleIssue{
 		name:      o.String(),
 		cfg:       cfg,
-		exclusive: o == Simple,
+		exclusive: o == simple,
 		pool:      pool,
 		banks:     mem.NewBanks(banks, cfg.MemLatency),
 	}, nil
@@ -95,8 +90,6 @@ func (m *singleIssue) Name() string { return m.name }
 func (m *singleIssue) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *singleIssue) SetRecorder(r *events.Recorder) { m.rec = r }
-
-func (m *singleIssue) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
 
 // RunChecked simulates t under the limits. Issue times are computed
 // directly (the machine cannot stall), so only the cycle budget and

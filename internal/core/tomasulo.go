@@ -101,8 +101,6 @@ func (m *tomasulo) cdbFree(c int64) bool { return m.cdb[c%64] != c }
 
 func (m *tomasulo) cdbReserve(c int64) { m.cdb[c%64] = c }
 
-func (m *tomasulo) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
-
 func (m *tomasulo) SetProbe(p *probe.Counters) { m.probe = p }
 
 func (m *tomasulo) SetRecorder(r *events.Recorder) { m.rec = r }

@@ -83,8 +83,6 @@ func (m *vectorMachine) latency(u isa.Unit) int64 {
 	return int64(m.lat.Of(u))
 }
 
-func (m *vectorMachine) Run(t *trace.Trace) Result { return runUnchecked(m, t) }
-
 // RunChecked simulates t under the limits; issue times are computed
 // directly, so only the cycle budget and deadline apply.
 func (m *vectorMachine) RunChecked(t *trace.Trace, lim Limits) (Result, error) {

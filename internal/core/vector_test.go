@@ -128,8 +128,8 @@ func TestVectorKernelsValidateAndBeatScalar(t *testing.T) {
 		if vk.Number == 2 || vk.Number == 4 {
 			factor = 2
 		}
-		vec := mustNew(t, "vector", M11BR5).Run(vtr)
-		cray := mustNew(t, "cray", M11BR5).Run(sk.SharedTrace())
+		vec := mustRun(t, mustNew(t, "vector", M11BR5), vtr)
+		cray := mustRun(t, mustNew(t, "cray", M11BR5), sk.SharedTrace())
 		if vec.Cycles*factor > cray.Cycles {
 			t.Errorf("LFK %d: vector %d cycles vs scalar %d — less than %dx",
 				vk.Number, vec.Cycles, cray.Cycles, factor)
@@ -147,13 +147,13 @@ func TestVectorVsSuperscalarCrossover(t *testing.T) {
 
 	k12, _ := loops.VectorKernel(12)
 	s12, _ := loops.Get(12)
-	if v, r := vec.Run(k12.MustTrace()).Cycles, ruu.Run(s12.SharedTrace()).Cycles; v >= r {
+	if v, r := mustRun(t, vec, k12.MustTrace()).Cycles, mustRun(t, ruu, s12.SharedTrace()).Cycles; v >= r {
 		t.Errorf("LFK 12: vector (%d) should beat the RUU machine (%d)", v, r)
 	}
 
 	k3, _ := loops.VectorKernel(3)
 	s3, _ := loops.Get(3)
-	if v, r := vec.Run(k3.MustTrace()).Cycles, ruu.Run(s3.SharedTrace()).Cycles; v <= r {
+	if v, r := mustRun(t, vec, k3.MustTrace()).Cycles, mustRun(t, ruu, s3.SharedTrace()).Cycles; v <= r {
 		t.Errorf("LFK 3: the RUU machine (%d) should beat the vector unit (%d) on a reduction", r, v)
 	}
 }
@@ -168,23 +168,9 @@ func TestScalarMachinesRejectVectorTraces(t *testing.T) {
 		mustNew(t, "scoreboard", M11BR5),
 		mustNew(t, "tomasulo", M11BR5),
 	} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Errorf("%s accepted a vector trace", m.Name())
-					return
-				}
-				serr, ok := r.(*SimError)
-				if !ok || !strings.Contains(serr.Error(), "scalar machine") {
-					t.Errorf("%s: unexpected panic %v", m.Name(), r)
-				}
-			}()
-			m.Run(vtr)
-		}()
-		// The checked path reports the same condition as an error.
-		if _, err := m.RunChecked(vtr, Limits{}); err == nil {
-			t.Errorf("%s: RunChecked accepted a vector trace", m.Name())
+		_, err := m.RunChecked(vtr, Limits{})
+		if serr, ok := err.(*SimError); !ok || !strings.Contains(serr.Error(), "scalar machine") {
+			t.Errorf("%s: vector trace gave %v, want a scalar-machine *SimError", m.Name(), err)
 		}
 	}
 }
@@ -202,8 +188,8 @@ func TestVectorMachineRunsScalarTraces(t *testing.T) {
 	// And on whole kernels it stays within a few percent of CRAYLike
 	// (the models differ only in bus-less bookkeeping details).
 	for _, k := range loops.All() {
-		a := mustNew(t, "cray", M11BR5).Run(k.SharedTrace()).Cycles
-		b := mustNew(t, "vector", M11BR5).Run(k.SharedTrace()).Cycles
+		a := mustRun(t, mustNew(t, "cray", M11BR5), k.SharedTrace()).Cycles
+		b := mustRun(t, mustNew(t, "vector", M11BR5), k.SharedTrace()).Cycles
 		diff := float64(b-a) / float64(a)
 		if diff > 0.05 || diff < -0.05 {
 			t.Errorf("%s: vector machine scalar path differs from CRAY-like by %.1f%% (%d vs %d)",
@@ -216,7 +202,7 @@ func TestVectorMachineReusable(t *testing.T) {
 	vk, _ := loops.VectorKernel(1)
 	tr := vk.MustTrace()
 	m := mustNew(t, "vector", M11BR5)
-	if a, b := m.Run(tr).Cycles, m.Run(tr).Cycles; a != b {
+	if a, b := mustRun(t, m, tr).Cycles, mustRun(t, m, tr).Cycles; a != b {
 		t.Errorf("reruns differ: %d vs %d", a, b)
 	}
 }
@@ -228,7 +214,7 @@ func TestVectorMachineRespectsLimits(t *testing.T) {
 		tr := vk.MustTrace()
 		for _, cfg := range BaseConfigs() {
 			lim := limitsActual(tr, cfg)
-			r := mustNew(t, "vector", cfg).Run(tr)
+			r := mustRun(t, mustNew(t, "vector", cfg), tr)
 			if got := r.IssueRate(); got > lim+1e-9 {
 				t.Errorf("%s %s: vector machine rate %.4f exceeds limit %.4f",
 					vk, cfg.Name(), got, lim)

@@ -132,9 +132,6 @@ func (m *Machine) SetInt(addr int64, v int64) { *m.word(addr) = uint64(v) }
 // SFloat returns scalar register i as a float64.
 func (m *Machine) SFloat(i int) float64 { return math.Float64frombits(m.S[i]) }
 
-// SetSFloat sets scalar register i to the float64 f.
-func (m *Machine) SetSFloat(i int, f float64) { m.S[i] = math.Float64bits(f) }
-
 // RuntimeError describes a fault during emulation, with the dynamic
 // and static positions at which it occurred.
 type RuntimeError struct {

@@ -336,7 +336,7 @@ func TestResetClearsRegistersNotMemory(t *testing.T) {
 
 func TestFloatHelpers(t *testing.T) {
 	m := New(16)
-	m.SetSFloat(1, -0.5)
+	m.S[1] = math.Float64bits(-0.5)
 	if m.SFloat(1) != -0.5 {
 		t.Error("SFloat round trip failed")
 	}

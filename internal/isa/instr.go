@@ -129,17 +129,6 @@ type Program struct {
 	Labels map[string]int // label name -> instruction index
 }
 
-// LabelAt returns the name of a label bound to instruction index i,
-// or "" if none.
-func (p *Program) LabelAt(i int) string {
-	for name, idx := range p.Labels {
-		if idx == i {
-			return name
-		}
-	}
-	return ""
-}
-
 // Disassemble renders the program as assembly text, one instruction
 // per line, with labels re-inserted and branch targets symbolic where
 // possible.

@@ -107,6 +107,13 @@ var kinds = map[string]kindInfo{
 	"vector":     {},
 }
 
+// MultiIssue reports whether kind, in any case and padding, names a
+// multiple-issue machine: one that takes Width and Bus.
+func MultiIssue(kind string) bool { return kinds[normalKind(kind)].multi }
+
+// normalKind is the canonical spelling of a kind name.
+func normalKind(kind string) string { return strings.ToLower(strings.TrimSpace(kind)) }
+
 // Kinds returns the valid Spec.Kind values, sorted.
 func Kinds() []string {
 	ks := make([]string, 0, len(kinds))
@@ -134,7 +141,7 @@ func errf(format string, args ...any) error {
 // Key hashes and Config compiles.
 func Canonicalize(s Spec) (Spec, error) {
 	c := s
-	c.Kind = strings.ToLower(strings.TrimSpace(c.Kind))
+	c.Kind = normalKind(c.Kind)
 	info, ok := kinds[c.Kind]
 	if !ok {
 		return c, errf("unknown machine kind %q (want one of %s)", s.Kind, strings.Join(Kinds(), ", "))

@@ -2,13 +2,27 @@ package machdef
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mfup/internal/bus"
 	"mfup/internal/core"
+	"mfup/internal/isa"
 	"mfup/internal/loops"
+	"mfup/internal/trace"
 )
+
+// mustRun runs tr on m with no limits, failing the test on a
+// simulation error.
+func mustRun(t *testing.T, m core.Machine, tr *trace.Trace) core.Result {
+	t.Helper()
+	r, err := m.RunChecked(tr, core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
 
 // TestGoldenSpecsCompile parses each of the ten golden testdata specs
 // and checks it compiles to the machine it names.
@@ -95,8 +109,8 @@ func TestDifferentialAgainstDirectConstructors(t *testing.T) {
 			if kind == "vector" {
 				workload = vtr
 			}
-			got := declared.Run(workload)
-			want := reference.Run(workload)
+			got := mustRun(t, declared, workload)
+			want := mustRun(t, reference, workload)
 			if got.Cycles != want.Cycles || got.Instructions != want.Instructions {
 				t.Errorf("%s %s: declarative %d cycles / %d instrs, direct %d / %d",
 					kind, base.Name(), got.Cycles, got.Instructions, want.Cycles, want.Instructions)
@@ -282,7 +296,7 @@ func TestNewKnobsChangeTiming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.Run(tr)
+		return mustRun(t, m, tr)
 	}
 	base := run(Spec{Kind: "ooo", Width: 8, Bus: "xbar"})
 	starved := run(Spec{Kind: "ooo", Width: 8, Bus: "xbar", Buses: 1})
@@ -294,4 +308,106 @@ func TestNewKnobsChangeTiming(t *testing.T) {
 	if slowMul.Cycles <= craybase.Cycles {
 		t.Errorf("20-cycle multiplier (%d cycles) not slower than 7-cycle (%d)", slowMul.Cycles, craybase.Cycles)
 	}
+}
+
+// FuzzCanonicalize checks the two properties Key rests on.
+// Canonicalizing is idempotent: the canonical form maps to itself and
+// keeps its key. And respelling a definition never moves its key:
+// kind case and padding, a bus alias, padded unit names, or a knob the
+// kind ignores, a default restated or a no-op override added. Every
+// rejection is an *Error.
+func FuzzCanonicalize(f *testing.F) {
+	f.Add("cray", 0, 0, 0, "", 0, 0, 0, 0, "", 0, 0, false)
+	f.Add("OOO", 5, 2, 8, "xbar", 2, 0, 0, 4, "FloatMul", 4, 2, false)
+	f.Add(" ruu ", 11, 5, 4, "1bus", 0, 20, 0, 8, "Recip", 14, 1, true)
+	f.Add("ruu", 0, 0, 0, "xbar", 0, 0, 0, 0, "", 0, 0, false)
+	f.Add("tomasulo", 0, 0, 1, "ring", 3, 50, 6, 2, "Memory", 3, 3, false)
+	f.Add("vector", 0, 0, 0, "", 0, 0, 0, 0, "FloatAdd", 9, 2, false)
+	f.Fuzz(func(t *testing.T, kind string, mem, br, width int, busName string,
+		buses, ruu, stations, banks int, unit string, lat, count int, perfect bool) {
+		s := Spec{Kind: kind, Mem: mem, Br: br, Width: width, Bus: busName, Buses: buses,
+			RUU: ruu, Stations: stations, MemBanks: banks, PerfectBranches: perfect}
+		if unit != "" {
+			s.FULat = map[string]int{unit: lat}
+			s.FUCount = map[string]int{unit: count}
+		}
+		c, err := Canonicalize(s)
+		if err != nil {
+			if _, ok := err.(*Error); !ok {
+				t.Fatalf("%+v: error %v (%T), want *Error", s, err, err)
+			}
+			return
+		}
+		key := c.Key()
+		if again, err := Canonicalize(c); err != nil || !reflect.DeepEqual(again, c) || again.Key() != key {
+			t.Fatalf("not idempotent:\n %+v\n -> %+v (%v)", c, again, err)
+		}
+		for _, r := range respellings(c) {
+			rc, err := Canonicalize(r)
+			if err != nil {
+				t.Fatalf("respelling %+v of %+v rejected: %v", r, c, err)
+			}
+			if rc.Key() != key {
+				t.Fatalf("respelling %+v of %+v moved the key", r, c)
+			}
+		}
+	})
+}
+
+// respellings returns spellings of the canonical spec c that must
+// share its key: each rewrite alone, then all of them together.
+func respellings(c Spec) []Spec {
+	info := kinds[c.Kind]
+	alias := map[string]string{"nbus": "N-Bus", "1bus": "1BUS", "xbar": "x-bar"}
+	padded := func(m map[string]int) map[string]int {
+		out := make(map[string]int, len(m))
+		for k, v := range m {
+			out[" "+k+"\t"] = v
+		}
+		return out
+	}
+	// withUnit returns m plus entry u=v, unless m already sets u.
+	withUnit := func(m map[string]int, u isa.Unit, v int) map[string]int {
+		out := map[string]int{u.String(): v}
+		for k, v := range m {
+			out[k] = v
+		}
+		return out
+	}
+	rewrites := []func(*Spec){
+		func(s *Spec) { s.Kind = " \t" + strings.ToUpper(s.Kind) + " " },
+		func(s *Spec) { s.Bus = alias[s.Bus] },
+		func(s *Spec) {
+			if !info.multi {
+				s.Width = 1
+			}
+			if s.Bus == "xbar" && s.Buses == 0 {
+				s.Buses = s.Width
+			}
+			if !info.ruu {
+				s.RUU = 9
+			}
+			if !info.stations {
+				s.Stations = 3
+			}
+			if !info.banks {
+				s.MemBanks = 4
+			}
+			s.FULat = withUnit(s.FULat, isa.Transfer, isa.DefaultLatency(isa.Transfer))
+			if info.pool {
+				s.FUCount = withUnit(s.FUCount, isa.AddrMul, 1)
+			}
+		},
+		// Last, so the combined spelling pads the added entries too.
+		func(s *Spec) { s.FULat, s.FUCount = padded(s.FULat), padded(s.FUCount) },
+	}
+	var out []Spec
+	all := c
+	for _, rw := range rewrites {
+		one := c
+		rw(&one)
+		rw(&all)
+		out = append(out, one)
+	}
+	return append(out, all)
 }

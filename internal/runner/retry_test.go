@@ -243,14 +243,18 @@ func TestRetryStopsOnCancelledContext(t *testing.T) {
 }
 
 func TestRetriesOffIsSeedBehavior(t *testing.T) {
-	// With no faults and no retries, results must match a plain run.
-	task, _ := retryTestTask(t)
+	// With no faults and no retries, results must match a plain run
+	// of the machine outside the runner.
+	task, tr := retryTestTask(t)
 	out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: 1}, []Task{task})
 	if len(errs) != 0 {
 		t.Fatalf("healthy run failed: %v", errs)
 	}
-	ref := Run(1, []Task{task})
-	if out[0][0] != ref[0][0] {
-		t.Errorf("checked result %+v differs from plain run %+v", out[0][0], ref[0][0])
+	ref, err := task.New().RunChecked(tr, core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0][0] != ref {
+		t.Errorf("checked result %+v differs from plain run %+v", out[0][0], ref)
 	}
 }

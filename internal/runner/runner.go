@@ -39,7 +39,7 @@ type Task struct {
 	// New constructs the machine for this cell. It is called exactly
 	// once, on the worker goroutine that claims the cell, so the
 	// machine it returns is private to that goroutine. The one
-	// instance runs all of the cell's traces in order — Machine.Run
+	// instance runs all of the cell's traces in order — RunChecked
 	// fully resets state between runs — which keeps the machine's
 	// internal allocations amortized as in a serial sweep.
 	New func() core.Machine
@@ -121,19 +121,6 @@ func Each(parallel, n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// Run executes every task on Workers(parallel) goroutines and returns
-// the results in task order: out[i][j] is tasks[i] run on its j-th
-// trace, regardless of how the cells were scheduled. Any cell failure
-// (panic or simulation error) panics with the first failure; use
-// RunCheckedStats to collect failures instead.
-func Run(parallel int, tasks []Task) [][]core.Result {
-	out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: parallel}, tasks)
-	if len(errs) > 0 {
-		panic(errs[0])
-	}
-	return out
-}
-
 // ErrSkipped marks a cell that never ran because the sweep was
 // cancelled first (fail-fast after another cell's failure, or the
 // caller's context ending).
@@ -180,7 +167,7 @@ type Options struct {
 	Parallel int
 
 	// Limits bounds every cell's simulation (cycle budget, stall
-	// watchdog, wall-clock deadline). Zero = unbounded, matching Run.
+	// watchdog, wall-clock deadline). Zero = unbounded.
 	Limits core.Limits
 
 	// FailFast cancels the sweep after the first cell failure:
@@ -380,8 +367,8 @@ type panicError struct {
 
 func (e *panicError) Error() string { return fmt.Sprintf("panic: %v", e.value) }
 
-// Unwrap exposes a panic with an error value (e.g. core.Run panicking
-// with a *core.SimError) to errors.Is/As.
+// Unwrap exposes a panic with an error value (e.g. a *core.SimError)
+// to errors.Is/As.
 func (e *panicError) Unwrap() error {
 	if err, ok := e.value.(error); ok {
 		return err

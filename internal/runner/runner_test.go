@@ -62,6 +62,17 @@ func TestEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// mustRun runs tasks on parallel workers, failing the test on any
+// cell error.
+func mustRun(t *testing.T, parallel int, tasks []Task) [][]core.Result {
+	t.Helper()
+	out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: parallel}, tasks)
+	if len(errs) > 0 {
+		t.Fatal(errs[0])
+	}
+	return out
+}
+
 // TestRunDeterministic runs a real simulation grid serially and with
 // many workers and requires identical results in identical order.
 func TestRunDeterministic(t *testing.T) {
@@ -76,8 +87,8 @@ func TestRunDeterministic(t *testing.T) {
 			Traces: traces,
 		})
 	}
-	serial := Run(1, tasks)
-	parallel := Run(8, tasks)
+	serial := mustRun(t, 1, tasks)
+	parallel := mustRun(t, 8, tasks)
 	if len(serial) != len(tasks) || len(parallel) != len(tasks) {
 		t.Fatalf("result lengths %d, %d; want %d", len(serial), len(parallel), len(tasks))
 	}
@@ -101,8 +112,6 @@ type panicMachine struct {
 }
 
 func (p *panicMachine) Name() string { return "PanicMachine" }
-
-func (p *panicMachine) Run(t *trace.Trace) core.Result { return p.inner.Run(t) }
 
 func (p *panicMachine) SetProbe(pr *probe.Counters) { p.inner.SetProbe(pr) }
 
@@ -135,7 +144,7 @@ func TestRunCheckedIsolatesPanics(t *testing.T) {
 		{New: mk, Traces: traces},
 		{New: healthy, Traces: traces},
 	}
-	want := Run(1, []Task{{New: healthy, Traces: traces}})[0]
+	want := mustRun(t, 1, []Task{{New: healthy, Traces: traces}})[0]
 
 	for _, workers := range []int{1, 4} {
 		out, _, errs := RunCheckedStats(context.Background(), Options{Parallel: workers}, tasks)

@@ -204,7 +204,7 @@ func (h *seqHeap) pop() *entry {
 }
 
 // Simulator runs traces under one RUU configuration. It is reusable;
-// Run resets all state.
+// RunChecked resets all state.
 type Simulator struct {
 	cfg   Config
 	banks int // dispatch/result/commit domains: N for BusN, 1 for Bus1
@@ -352,17 +352,6 @@ func (s *Simulator) snapshot(max int) []string {
 		out = append(out, fmt.Sprintf("#%d %s [%s, deps %d, ready %d]", e.seq, e.op, state, e.depCount, e.readyAt))
 	}
 	return out
-}
-
-// Run simulates t and returns the total cycle count. It panics with a
-// *simerr.SimError if the trace cannot be simulated; RunChecked is
-// the error-returning, bounded form.
-func (s *Simulator) Run(t *trace.Trace) int64 {
-	cycles, err := s.RunChecked(t, Limits{})
-	if err != nil {
-		panic(err)
-	}
-	return cycles
 }
 
 // RunChecked simulates t under the limits and returns the total cycle

@@ -22,7 +22,7 @@ func mkOp(seq int, code isa.Opcode, dst, s1, s2 isa.Reg) trace.Op {
 func TestSingleInstruction(t *testing.T) {
 	tr := &trace.Trace{Ops: []trace.Op{mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0))}}
 	// Issue at 0, dispatch at 1, result at 7.
-	if got := mustNew(t, cfg115(1, 4, bus.Bus1)).Run(tr); got != 7 {
+	if got := mustRun(t, mustNew(t, cfg115(1, 4, bus.Bus1)), tr); got != 7 {
 		t.Errorf("cycles = %d, want 7", got)
 	}
 }
@@ -32,7 +32,7 @@ func TestChainThroughBypass(t *testing.T) {
 		mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)), // dispatch 1, done 7
 		mkOp(1, isa.OpFAdd, isa.S(2), isa.S(1), isa.S(1)), // wakes at 7, done 13
 	}}
-	if got := mustNew(t, cfg115(2, 8, bus.BusN)).Run(tr); got != 13 {
+	if got := mustRun(t, mustNew(t, cfg115(2, 8, bus.BusN)), tr); got != 13 {
 		t.Errorf("cycles = %d, want 13", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestIndependentOpsOverlap(t *testing.T) {
 		mkOp(1, isa.OpFMul, isa.S(2), isa.S(0), isa.S(0)),
 	}}
 	// Both issue at 0, dispatch at 1; FMul completes at 8.
-	if got := mustNew(t, cfg115(2, 8, bus.BusN)).Run(tr); got != 8 {
+	if got := mustRun(t, mustNew(t, cfg115(2, 8, bus.BusN)), tr); got != 8 {
 		t.Errorf("cycles = %d, want 8", got)
 	}
 }
@@ -58,8 +58,8 @@ func TestIssueWidthLimits(t *testing.T) {
 		mkOp(2, isa.OpAAdd, isa.A(1), isa.A(2), isa.A(3)),
 		mkOp(3, isa.OpSAdd, isa.S(3), isa.S(0), isa.S(0)),
 	}
-	narrow := mustNew(t, cfg115(1, 8, bus.Bus1)).Run(&trace.Trace{Ops: ops})
-	wide := mustNew(t, cfg115(4, 8, bus.BusN)).Run(&trace.Trace{Ops: ops})
+	narrow := mustRun(t, mustNew(t, cfg115(1, 8, bus.Bus1)), &trace.Trace{Ops: ops})
+	wide := mustRun(t, mustNew(t, cfg115(4, 8, bus.BusN)), &trace.Trace{Ops: ops})
 	if wide >= narrow {
 		t.Errorf("wide issue (%d cycles) not faster than narrow (%d)", wide, narrow)
 	}
@@ -77,8 +77,8 @@ func TestRUUFullBackpressure(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		ops = append(ops, mkOp(i, isa.OpFAdd, isa.S(1+i%7), isa.S(0), isa.S(0)))
 	}
-	small := mustNew(t, cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops})
-	big := mustNew(t, cfg115(1, 16, bus.Bus1)).Run(&trace.Trace{Ops: ops})
+	small := mustRun(t, mustNew(t, cfg115(1, 2, bus.Bus1)), &trace.Trace{Ops: ops})
+	big := mustRun(t, mustNew(t, cfg115(1, 16, bus.Bus1)), &trace.Trace{Ops: ops})
 	if small <= big+4 {
 		t.Errorf("2-entry RUU (%d cycles) should be clearly slower than 16-entry (%d)", small, big)
 	}
@@ -93,7 +93,7 @@ func TestInOrderCommit(t *testing.T) {
 		mkOp(1, isa.OpSImm, isa.S(2), isa.NoReg, isa.NoReg), // done 2, commits >= 15
 		mkOp(2, isa.OpSImm, isa.S(3), isa.NoReg, isa.NoReg),
 	}
-	got := mustNew(t, cfg115(1, 2, bus.Bus1)).Run(&trace.Trace{Ops: ops})
+	got := mustRun(t, mustNew(t, cfg115(1, 2, bus.Bus1)), &trace.Trace{Ops: ops})
 	// Recip: issue 0, dispatch 1, done 15, commits 15. SImm1: issue 1
 	// done 3. SImm2 needs a slot: only at 15 (recip commit) -> issue
 	// 15, dispatch 16, done 17.
@@ -107,7 +107,7 @@ func TestBranchStallsIssue(t *testing.T) {
 		{Seq: 0, Code: isa.OpJ, Unit: isa.Branch, Parcels: 2, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg, Taken: true},
 		mkOp(1, isa.OpSImm, isa.S(1), isa.NoReg, isa.NoReg),
 	}
-	got := mustNew(t, cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: ops})
+	got := mustRun(t, mustNew(t, cfg115(4, 16, bus.BusN)), &trace.Trace{Ops: ops})
 	// Branch at 0 resolves at 5; transfer issues 5, dispatches 6, done 7.
 	if got != 7 {
 		t.Errorf("cycles = %d, want 7", got)
@@ -122,7 +122,7 @@ func TestStoreLoadDependence(t *testing.T) {
 	ldOther := mkOp(2, isa.OpLoadS, isa.S(3), isa.A(1), isa.NoReg)
 	ldOther.Addr = 65
 
-	got := mustNew(t, cfg115(4, 16, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st, ldSame, ldOther}})
+	got := mustRun(t, mustNew(t, cfg115(4, 16, bus.BusN)), &trace.Trace{Ops: []trace.Op{st, ldSame, ldOther}})
 	// Store: issue 0, dispatch 1, completes 12. Dependent load wakes
 	// at 12, dispatches 12 (bypass), completes 23. Independent load
 	// dispatches at 2 (memory unit accepted the store at 1), done 13.
@@ -139,7 +139,7 @@ func TestStoreStoreOrdering(t *testing.T) {
 	st1.Addr = 7
 	st2 := mkOp(1, isa.OpStoreS, isa.NoReg, isa.A(1), isa.S(2))
 	st2.Addr = 7
-	got := mustNew(t, cfg115(2, 8, bus.BusN)).Run(&trace.Trace{Ops: []trace.Op{st1, st2}})
+	got := mustRun(t, mustNew(t, cfg115(2, 8, bus.BusN)), &trace.Trace{Ops: []trace.Op{st1, st2}})
 	// st1: dispatch 1, done 12; st2 wakes 12, dispatches 12, done 23.
 	if got != 23 {
 		t.Errorf("cycles = %d, want 23", got)
@@ -169,13 +169,24 @@ func mustNew(t *testing.T, cfg Config) *Simulator {
 	return s
 }
 
+// mustRun simulates tr on s with no limits, failing the test on a
+// simulation error.
+func mustRun(t *testing.T, s *Simulator, tr *trace.Trace) int64 {
+	t.Helper()
+	cycles, err := s.RunChecked(tr, Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cycles
+}
+
 func TestSimulatorReusable(t *testing.T) {
 	tr := &trace.Trace{Ops: []trace.Op{
 		mkOp(0, isa.OpFAdd, isa.S(1), isa.S(0), isa.S(0)),
 		mkOp(1, isa.OpFMul, isa.S(2), isa.S(1), isa.S(1)),
 	}}
 	s := mustNew(t, cfg115(2, 8, bus.BusN))
-	if a, b := s.Run(tr), s.Run(tr); a != b {
+	if a, b := mustRun(t, s, tr), mustRun(t, s, tr); a != b {
 		t.Errorf("reruns differ: %d vs %d", a, b)
 	}
 }
@@ -223,8 +234,8 @@ func TestRandomTracesTerminateAndRespectWidth(t *testing.T) {
 			op.Seq = int64(i)
 			ops = append(ops, op)
 		}
-		cycles := mustNew(t, Config{MemLatency: 11, BranchLatency: 5, IssueUnits: n, Size: size, Bus: kind}).
-			Run(&trace.Trace{Ops: ops})
+		s := mustNew(t, Config{MemLatency: 11, BranchLatency: 5, IssueUnits: n, Size: size, Bus: kind})
+		cycles := mustRun(t, s, &trace.Trace{Ops: ops})
 		lower := int64((count + n - 1) / n)
 		return cycles >= lower
 	}

@@ -8,6 +8,7 @@ import (
 	"mfup/internal/emu"
 	"mfup/internal/isa"
 	"mfup/internal/loops"
+	"mfup/internal/trace"
 )
 
 var lat115 = isa.NewLatencies(11, 5)
@@ -41,9 +42,17 @@ func TestSchedulingHelpsOrIsNeutral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rate := func(tr *trace.Trace) float64 {
+		t.Helper()
+		r, err := machine.RunChecked(tr, core.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.IssueRate()
+	}
 	var sumBase, sumSched float64
 	for _, k := range loops.All() {
-		base := machine.Run(k.SharedTrace()).IssueRate()
+		base := rate(k.SharedTrace())
 
 		s := Schedule(k.Program(), core.M11BR5.Latencies())
 		m := k.NewMachine()
@@ -51,7 +60,7 @@ func TestSchedulingHelpsOrIsNeutral(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", k, err)
 		}
-		sched := machine.Run(tr).IssueRate()
+		sched := rate(tr)
 
 		if sched < 0.9*base {
 			t.Errorf("%s: scheduling slowed the loop from %.4f to %.4f", k, base, sched)

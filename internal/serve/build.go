@@ -155,7 +155,7 @@ type JobResult struct {
 // A non-positive rate is reported as the failure it is — it would
 // poison the harmonic mean — mirroring the CLI tools.
 func resultOf(c JobSpec, w *work, rs []core.Result) (*JobResult, error) {
-	jr := &JobResult{Config: c.Machine.config().Name()}
+	jr := &JobResult{Config: core.Config{MemLatency: c.Machine.Mem, BranchLatency: c.Machine.Br}.Name()}
 	rates := make([]float64, 0, len(rs))
 	for i, r := range rs {
 		rate := r.IssueRate()

@@ -169,19 +169,23 @@ func TestRestartServesWarmResultsByteIdentically(t *testing.T) {
 	}
 }
 
+// Specs no worker could run are refused at admission: they take no
+// worker slot, never reach the queue and never charge the breaker.
 func TestBadSpecRejected(t *testing.T) {
-	s, hs := testServer(t, Config{Workers: 1})
+	s, hs := testServer(t, Config{Workers: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour})
 	for _, doc := range []string{
 		`not json`,
 		`{"machine":{"kind":"dataflow"}}`,
 		`{"machine":{"kind":"cray"},"workload":{"loops":"99"}}`,
+		`{"machine":{"kind":"ruu","bus":"xbar"}}`, // the RUU has no crossbar
 	} {
-		if code, _, _ := post(t, hs.URL+"/v1/jobs", doc); code != http.StatusBadRequest {
+		if code, _, _ := post(t, hs.URL+"/v1/jobs?wait=1", doc); code != http.StatusBadRequest {
 			t.Errorf("%q: status %d, want 400", doc, code)
 		}
 	}
-	if got := s.Snapshot().BadSpec; got != 3 {
-		t.Errorf("bad_spec = %d, want 3", got)
+	st := s.Snapshot()
+	if st.BadSpec != 4 || st.Admitted != 0 || st.Failed != 0 || st.Quarantined != 0 || st.QueueDepth != 0 {
+		t.Errorf("stats %+v, want bad_spec=4 and nothing admitted, failed or quarantined", st)
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mfup/internal/bus"
 	"mfup/internal/cli"
 	"mfup/internal/core"
 	"mfup/internal/loops"
@@ -74,7 +73,8 @@ type JobSpec struct {
 }
 
 // MachineSpec names a machine model and its configuration, in the
-// same vocabulary as the mfusim flags.
+// same vocabulary as the mfusim flags. It is the job-level subset of
+// machdef.Spec, which owns its kinds, defaults, ranges and spellings.
 type MachineSpec struct {
 	// Kind: simple | serialmem | nonseg | cray | scoreboard |
 	// tomasulo | multi | ooo | ruu | vector.
@@ -82,8 +82,8 @@ type MachineSpec struct {
 
 	Mem      int    `json:"mem,omitempty"`      // memory access cycles; default 11
 	Br       int    `json:"br,omitempty"`       // branch execution cycles; default 5
-	Units    int    `json:"units,omitempty"`    // issue units (multi, ooo, ruu); default 1
-	Bus      string `json:"bus,omitempty"`      // nbus | 1bus | xbar (multi, ooo, ruu); default nbus
+	Units    int    `json:"units,omitempty"`    // issue units, machdef's width (multi, ooo, ruu); default 1
+	Bus      string `json:"bus,omitempty"`      // nbus | 1bus | xbar (multi, ooo; ruu takes nbus or 1bus); default nbus
 	RUU      int    `json:"ruu,omitempty"`      // RUU entries (ruu); default 50
 	Stations int    `json:"stations,omitempty"` // stations per unit (tomasulo); default 4
 }
@@ -115,21 +115,6 @@ type LimitsSpec struct {
 	StallCycles int64 `json:"stallcycles,omitempty"` // no-forward-progress watchdog; 0 = off
 }
 
-// machineKinds enumerates the valid MachineSpec.Kind values and
-// whether each takes the multiple-issue parameters.
-var machineKinds = map[string]struct{ multi bool }{
-	"simple":     {},
-	"serialmem":  {},
-	"nonseg":     {},
-	"cray":       {},
-	"scoreboard": {},
-	"tomasulo":   {},
-	"multi":      {multi: true},
-	"ooo":        {multi: true},
-	"ruu":        {multi: true},
-	"vector":     {},
-}
-
 // SpecError is a structurally invalid job spec: the admission path
 // maps it to HTTP 400.
 type SpecError struct{ Msg string }
@@ -143,11 +128,14 @@ func specErrf(format string, args ...any) error {
 // Canonicalize validates spec and rewrites it into the one normal
 // form that two semantically identical submissions share:
 //
-//   - names are lowercased and defaults are spelled out (mem 11, br 5,
-//     loops "all" resolved to explicit kernel numbers, ...);
-//   - parameters the chosen machine ignores are zeroed, so "a CRAY
-//     with ruu:50" and "a CRAY" are the same spec;
-//   - loop selections are resolved, deduplicated, and sorted — the
+//   - the machine is canonicalized by machdef.Canonicalize: names
+//     lowercased, defaults spelled out (mem 11, br 5, ...), the bus
+//     spelled one way, and parameters the kind ignores zeroed, so "a
+//     CRAY with ruu:50" and "a CRAY" are the same spec;
+//   - units and bus on a single-issue machine are dropped rather than
+//     refused, the one machine rule the service adds;
+//   - loop selections ("all" included) are resolved to explicit
+//     kernel numbers, deduplicated, and sorted — the
 //     service renders per-loop results in kernel order, so "5,1" and
 //     "1,5" are observably identical;
 //   - cost and environment knobs that cannot change a completed
@@ -158,61 +146,11 @@ func specErrf(format string, args ...any) error {
 func Canonicalize(spec JobSpec) (JobSpec, error) {
 	c := spec
 
-	// Machine.
-	c.Machine.Kind = strings.ToLower(strings.TrimSpace(c.Machine.Kind))
-	kindInfo, ok := machineKinds[c.Machine.Kind]
-	if !ok {
-		return c, specErrf("unknown machine kind %q", spec.Machine.Kind)
+	m, err := canonicalMachine(spec.Machine)
+	if err != nil {
+		return c, err
 	}
-	if c.Machine.Mem == 0 {
-		c.Machine.Mem = 11
-	}
-	if c.Machine.Br == 0 {
-		c.Machine.Br = 5
-	}
-	if c.Machine.Mem < 1 || c.Machine.Br < 1 {
-		return c, specErrf("machine latencies must be positive (mem %d, br %d)", c.Machine.Mem, c.Machine.Br)
-	}
-	if kindInfo.multi {
-		if c.Machine.Units == 0 {
-			c.Machine.Units = 1
-		}
-		if c.Machine.Units < 1 {
-			return c, specErrf("units %d: need at least one issue unit", c.Machine.Units)
-		}
-		if c.Machine.Bus == "" {
-			c.Machine.Bus = "nbus"
-		}
-		kind, err := cli.ParseBusKind(c.Machine.Bus)
-		if err != nil {
-			return c, &SpecError{Msg: err.Error()}
-		}
-		c.Machine.Bus = canonicalBusName(kind)
-	} else {
-		// Parameters this machine ignores must not split the cache.
-		c.Machine.Units = 0
-		c.Machine.Bus = ""
-	}
-	if c.Machine.Kind == "ruu" {
-		if c.Machine.RUU == 0 {
-			c.Machine.RUU = 50
-		}
-		if c.Machine.RUU < c.Machine.Units {
-			return c, specErrf("ruu %d: need at least as many RUU entries as issue units (%d)", c.Machine.RUU, c.Machine.Units)
-		}
-	} else {
-		c.Machine.RUU = 0
-	}
-	if c.Machine.Kind == "tomasulo" {
-		if c.Machine.Stations == 0 {
-			c.Machine.Stations = 4
-		}
-		if c.Machine.Stations < 1 {
-			return c, specErrf("stations %d: need at least one reservation station per unit", c.Machine.Stations)
-		}
-	} else {
-		c.Machine.Stations = 0
-	}
+	c.Machine = m
 
 	// Workload.
 	c.Workload.Asm = spec.Workload.Asm
@@ -288,19 +226,6 @@ func Canonicalize(spec JobSpec) (JobSpec, error) {
 	return c, nil
 }
 
-// canonicalBusName renders a parsed bus kind in the spelling the
-// canonical spec uses.
-func canonicalBusName(k bus.Kind) string {
-	switch k {
-	case bus.Bus1:
-		return "1bus"
-	case bus.XBar:
-		return "xbar"
-	default:
-		return "nbus"
-	}
-}
-
 // keySpec is the exact observable surface of a job: the fields whose
 // values can change a *completed* result. Everything else — the
 // extrapolation engine (bit-identical by contract), wall-clock
@@ -353,51 +278,34 @@ func Key(c JobSpec) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// machdefSpec translates the service's machine vocabulary into the
-// declarative machine-definition layer (internal/machdef), which owns
-// validation, canonicalization, and construction. The service spec is
-// a strict subset of machdef's — Units is machdef's Width — so the
-// translation is a field mapping, and canonicalizing it cannot fail
-// on a spec that already passed Canonicalize above.
-func (m MachineSpec) machdefSpec() (machdef.Spec, error) {
-	s, err := machdef.Canonicalize(machdef.Spec{
-		Kind:     m.Kind,
-		Mem:      m.Mem,
-		Br:       m.Br,
-		Width:    m.Units,
-		Bus:      m.Bus,
-		RUU:      m.RUU,
-		Stations: m.Stations,
-	})
-	if err != nil {
-		return s, &SpecError{Msg: err.Error()}
+// canonicalMachine canonicalizes m through machdef, which owns the
+// kinds, defaults, ranges and bus spellings. A single-issue kind's
+// units and bus are zeroed first: stray issue parameters must not
+// split the cache, where machdef would refuse them.
+func canonicalMachine(m MachineSpec) (MachineSpec, error) {
+	s := m.machdefSpec()
+	if !machdef.MultiIssue(s.Kind) {
+		s.Width, s.Bus = 0, ""
 	}
-	return s, nil
+	s, err := machdef.Canonicalize(s)
+	if err != nil {
+		return m, &SpecError{Msg: err.Error()}
+	}
+	return MachineSpec{Kind: s.Kind, Mem: s.Mem, Br: s.Br, Units: s.Width,
+		Bus: s.Bus, RUU: s.RUU, Stations: s.Stations}, nil
 }
 
-// config assembles the core.Config of a canonical machine spec.
-func (m MachineSpec) config() core.Config {
-	s, err := m.machdefSpec()
-	if err == nil {
-		var cfg core.Config
-		if cfg, err = s.Config(); err == nil {
-			return cfg
-		}
-	}
-	// Unreachable on a canonical spec; keep the old direct mapping as
-	// the fallback so a labeling helper can never panic.
-	return core.Config{MemLatency: m.Mem, BranchLatency: m.Br}
+// machdefSpec maps m onto machdef's vocabulary, where Units is Width.
+func (m MachineSpec) machdefSpec() machdef.Spec {
+	return machdef.Spec{Kind: m.Kind, Mem: m.Mem, Br: m.Br, Width: m.Units,
+		Bus: m.Bus, RUU: m.RUU, Stations: m.Stations}
 }
 
 // newMachine constructs the machine of a canonical spec through the
 // machdef layer. Construction errors surface as structured errors,
 // never panics.
 func (m MachineSpec) newMachine() (core.Machine, error) {
-	s, err := m.machdefSpec()
-	if err != nil {
-		return nil, err
-	}
-	mach, err := s.New()
+	mach, err := m.machdefSpec().New()
 	if err != nil {
 		return nil, &SpecError{Msg: err.Error()}
 	}

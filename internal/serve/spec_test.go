@@ -146,7 +146,7 @@ func TestKeyTracksObservableFields(t *testing.T) {
 		"mem":         {Machine: MachineSpec{Kind: "ruu", Mem: 5}, Workload: WorkloadSpec{Loops: "1"}},
 		"br":          {Machine: MachineSpec{Kind: "ruu", Br: 2}, Workload: WorkloadSpec{Loops: "1"}},
 		"units":       {Machine: MachineSpec{Kind: "ruu", Units: 4}, Workload: WorkloadSpec{Loops: "1"}},
-		"bus":         {Machine: MachineSpec{Kind: "ruu", Bus: "xbar"}, Workload: WorkloadSpec{Loops: "1"}},
+		"bus":         {Machine: MachineSpec{Kind: "ruu", Bus: "1bus"}, Workload: WorkloadSpec{Loops: "1"}},
 		"ruu":         {Machine: MachineSpec{Kind: "ruu", RUU: 8}, Workload: WorkloadSpec{Loops: "1"}},
 		"kind":        {Machine: MachineSpec{Kind: "ooo"}, Workload: WorkloadSpec{Loops: "1"}},
 		"loops":       {Machine: MachineSpec{Kind: "ruu"}, Workload: WorkloadSpec{Loops: "2"}},
@@ -225,4 +225,83 @@ func TestCanonicalizeRejections(t *testing.T) {
 			t.Errorf("%s: error %v (%T), want *SpecError", name, err, err)
 		}
 	}
+}
+
+// FuzzCanonicalize checks the two properties a content key rests on.
+// Canonicalizing is idempotent: the canonical form maps to itself and
+// keeps its key. And respelling a spec never moves its key: kind case
+// and padding, a bus alias, loop order and duplicates, or a parameter
+// the kind ignores. Every rejection is a *SpecError.
+func FuzzCanonicalize(f *testing.F) {
+	f.Add("cray", 0, 0, 0, "", 0, 0, "1,5")
+	f.Add("RUU", 5, 2, 4, "1bus", 8, 0, "all")
+	f.Add(" multi ", 11, 5, 2, "x-bar", 0, 0, "12,1,12")
+	f.Add("tomasulo", 0, 0, 3, "ring", 50, 9, "scalar")
+	f.Add("vector", 0, 0, 0, "", 0, 0, "vector")
+	f.Add("ruu", 0, 0, 0, "xbar", 0, 0, "1")
+	f.Fuzz(func(t *testing.T, kind string, mem, br, units int, bus string, ruu, stations int, loops string) {
+		spec := JobSpec{
+			Machine: MachineSpec{Kind: kind, Mem: mem, Br: br, Units: units,
+				Bus: bus, RUU: ruu, Stations: stations},
+			Workload: WorkloadSpec{Loops: loops},
+		}
+		c, err := Canonicalize(spec)
+		if err != nil {
+			if _, ok := err.(*SpecError); !ok {
+				t.Fatalf("%+v: error %v (%T), want *SpecError", spec, err, err)
+			}
+			return
+		}
+		key := Key(c)
+		if again, err := Canonicalize(c); err != nil || again != c || Key(again) != key {
+			t.Fatalf("not idempotent:\n %+v\n -> %+v (%v)", c, again, err)
+		}
+		for _, r := range respellings(c) {
+			rc, err := Canonicalize(r)
+			if err != nil {
+				t.Fatalf("respelling %+v of %+v rejected: %v", r, c, err)
+			}
+			if Key(rc) != key {
+				t.Fatalf("respelling %+v of %+v moved the key", r, c)
+			}
+		}
+	})
+}
+
+// respellings returns spellings of the canonical spec c that must
+// share its key: each rewrite alone, then all of them together. A
+// canonical zero units, ruu or stations means the kind ignores it.
+func respellings(c JobSpec) []JobSpec {
+	alias := map[string]string{"nbus": "N-Bus", "1bus": "1BUS", "xbar": "x-bar"}
+	rewrites := []func(*JobSpec){
+		func(s *JobSpec) { s.Machine.Kind = " \t" + strings.ToUpper(s.Machine.Kind) + " " },
+		func(s *JobSpec) { s.Machine.Bus = alias[s.Machine.Bus] },
+		func(s *JobSpec) {
+			nums := strings.Split(s.Workload.Loops, ",")
+			for i, j := 0, len(nums)-1; i < j; i, j = i+1, j-1 {
+				nums[i], nums[j] = nums[j], nums[i]
+			}
+			s.Workload.Loops = strings.Join(append(nums, nums[0]), " , ")
+		},
+		func(s *JobSpec) {
+			if s.Machine.Units == 0 {
+				s.Machine.Units, s.Machine.Bus = 6, "ring"
+			}
+			if s.Machine.RUU == 0 {
+				s.Machine.RUU = -7
+			}
+			if s.Machine.Stations == 0 {
+				s.Machine.Stations = 3
+			}
+		},
+	}
+	var out []JobSpec
+	all := c
+	for _, rw := range rewrites {
+		one := c
+		rw(&one)
+		rw(&all)
+		out = append(out, one)
+	}
+	return append(out, all)
 }

@@ -593,14 +593,9 @@ func (b *batch) rates() ([]float64, []*runner.CellError) {
 // mapping is faithful; the same spec helpers feed JournalSignature, so
 // the checkpoint journal is keyed by the full machine grid.
 
-// orgKinds names the machdef kind of each §3 single-issue
-// organization.
-var orgKinds = map[core.Organization]string{
-	core.Simple:       "simple",
-	core.SerialMemory: "serialmem",
-	core.NonSegmented: "nonseg",
-	core.CRAYLike:     "cray",
-}
+// basicKinds are the machdef kinds of the four §3 single-issue
+// organizations, in Table 1 order.
+var basicKinds = []string{"simple", "serialmem", "nonseg", "cray"}
 
 // baseSpec carries one M/BR variation into a machine definition of
 // the given kind.
@@ -642,6 +637,16 @@ func (b *batch) defCell(s machdef.Spec, ts []*trace.Trace) {
 	}, ts)
 }
 
+// machineName is the name core gives the machines of a grid kind,
+// which their Table 1 rows carry.
+func machineName(kind string) string {
+	m, err := core.New(kind, core.M11BR5)
+	if err != nil {
+		panic(fmt.Sprintf("tables: grid kind: %v", err))
+	}
+	return m.Name()
+}
+
 // journalVersion names the checkpoint journal's grid layout. Bump it
 // whenever the tables change shape — rows, columns, or cell order —
 // so every older journal fails closed instead of replaying rates into
@@ -663,8 +668,8 @@ func gridSpecKeys() []string {
 		keys = append(keys, c.Key())
 	}
 	for _, cfg := range core.BaseConfigs() {
-		for _, org := range core.Organizations() { // Table 1
-			add(baseSpec(orgKinds[org], cfg))
+		for _, kind := range basicKinds { // Table 1
+			add(baseSpec(kind, cfg))
 		}
 		for n := 1; n <= 8; n++ { // Tables 3-6
 			for _, kind := range []string{"multi", "ooo"} {
@@ -729,10 +734,10 @@ func Table1() *Table {
 	var labels []string
 	for _, class := range []loops.Class{loops.Scalar, loops.Vectorizable} {
 		ts := classTraces(class)
-		for _, org := range core.Organizations() {
-			labels = append(labels, fmt.Sprintf("%s %s", class, org))
+		for _, kind := range basicKinds {
+			labels = append(labels, fmt.Sprintf("%s %s", class, machineName(kind)))
 			for _, cfg := range core.BaseConfigs() {
-				b.defCell(baseSpec(orgKinds[org], cfg), ts)
+				b.defCell(baseSpec(kind, cfg), ts)
 			}
 		}
 	}

@@ -134,19 +134,6 @@ func (m Mix) Fraction(u isa.Unit) float64 {
 	return float64(m.ByUnit[u]) / float64(m.Total)
 }
 
-// BusiestUnit returns the unit class with the highest dynamic count
-// and that count. Ties resolve to the lowest-numbered unit.
-func (m Mix) BusiestUnit() (isa.Unit, int64) {
-	best := isa.Unit(0)
-	var n int64
-	for u := 0; u < isa.NumUnits; u++ {
-		if m.ByUnit[u] > n {
-			best, n = isa.Unit(u), m.ByUnit[u]
-		}
-	}
-	return best, n
-}
-
 // String renders the mix as a one-line summary.
 func (m Mix) String() string {
 	return fmt.Sprintf("total=%d mem=%.1f%% branch=%.1f%% float=%.1f%%",

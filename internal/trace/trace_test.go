@@ -56,18 +56,6 @@ func TestMixFraction(t *testing.T) {
 	}
 }
 
-func TestBusiestUnit(t *testing.T) {
-	tr := &Trace{Ops: []Op{
-		op(isa.OpLoadS, isa.S(1), isa.A(1), isa.NoReg),
-		op(isa.OpLoadS, isa.S(2), isa.A(1), isa.NoReg),
-		op(isa.OpFAdd, isa.S(3), isa.S(1), isa.S(2)),
-	}}
-	u, n := tr.ComputeMix().BusiestUnit()
-	if u != isa.Memory || n != 2 {
-		t.Errorf("busiest = %s/%d, want Memory/2", u, n)
-	}
-}
-
 func TestOpReads(t *testing.T) {
 	var buf []isa.Reg
 	cond := Op{Code: isa.OpJAZ, Dst: isa.NoReg, Src1: isa.NoReg, Src2: isa.NoReg}

@@ -23,7 +23,10 @@
 //	if err != nil {
 //		log.Fatal(err)
 //	}
-//	r := m.Run(k.SharedTrace())
+//	r, err := m.RunChecked(k.SharedTrace(), mfup.SimLimits{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Printf("%.2f instructions/cycle\n", r.IssueRate())
 package mfup
 
@@ -123,8 +126,9 @@ const (
 // ooo and ruu (the §5.1-5.3 multiple-issue machines; use
 // Config.WithIssue and Config.WithRUU), and vector (the CRAY-1-style
 // vector extension, the only machine that accepts vector traces).
-// Every machine offers Run (panics on failure) and RunChecked
-// (returns a *SimError and honors SimLimits).
+// Every machine runs traces through RunChecked, which returns a
+// *SimError on failure and honors SimLimits; the zero SimLimits checks
+// nothing.
 func New(kind string, cfg Config) (Machine, error) { return core.New(kind, cfg) }
 
 // Kernels returns all 14 Livermore loops in kernel order.
@@ -188,7 +192,7 @@ type (
 //	cray, err := mfup.New("cray", mfup.M11BR5)
 //	...
 //	m := mfup.Extrapolate(cray)
-//	r := m.Run(k.SharedTrace())   // same Result, O(1) in iterations
+//	r, err := m.RunChecked(k.SharedTrace(), mfup.SimLimits{}) // same Result, O(1) in iterations
 func Extrapolate(m Machine) *Extrapolator { return core.Extrapolate(m) }
 
 // CanExtrapolate reports whether t satisfies the machine-independent

@@ -20,6 +20,17 @@ func mustNew(tb testing.TB, kind string, cfg mfup.Config) mfup.Machine {
 	return m
 }
 
+// mustRun runs tr on m with no limits, failing the test on a
+// simulation error.
+func mustRun(tb testing.TB, m mfup.Machine, tr *mfup.Trace) mfup.Result {
+	tb.Helper()
+	r, err := m.RunChecked(tr, mfup.SimLimits{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r
+}
+
 func TestPublicKernelAccess(t *testing.T) {
 	if got := len(mfup.Kernels()); got != 14 {
 		t.Fatalf("Kernels() returned %d, want 14", got)
@@ -54,7 +65,7 @@ func TestEndToEndSimulation(t *testing.T) {
 	for _, cfg := range mfup.BaseConfigs() {
 		var prev float64
 		for _, kind := range []string{"simple", "serialmem", "nonseg", "cray"} {
-			r := mustNew(t, kind, cfg).Run(tr)
+			r := mustRun(t, mustNew(t, kind, cfg), tr)
 			rate := r.IssueRate()
 			if rate <= 0 || rate >= 1 {
 				t.Errorf("%s %s: rate %.3f outside (0,1)", kind, cfg.Name(), rate)
@@ -69,10 +80,10 @@ func TestEndToEndSimulation(t *testing.T) {
 
 func TestAdvancedMachinesViaFacade(t *testing.T) {
 	tr := mfup.MustKernel(7).SharedTrace()
-	cray := mustNew(t, "cray", mfup.M11BR5).Run(tr).IssueRate()
-	multi := mustNew(t, "multi", mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
-	ooo := mustNew(t, "ooo", mfup.M11BR5.WithIssue(4, mfup.BusN)).Run(tr).IssueRate()
-	ruu := mustNew(t, "ruu", mfup.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)).Run(tr).IssueRate()
+	cray := mustRun(t, mustNew(t, "cray", mfup.M11BR5), tr).IssueRate()
+	multi := mustRun(t, mustNew(t, "multi", mfup.M11BR5.WithIssue(4, mfup.BusN)), tr).IssueRate()
+	ooo := mustRun(t, mustNew(t, "ooo", mfup.M11BR5.WithIssue(4, mfup.BusN)), tr).IssueRate()
+	ruu := mustRun(t, mustNew(t, "ruu", mfup.M11BR5.WithIssue(4, mfup.BusN).WithRUU(50)), tr).IssueRate()
 	if !(cray <= multi+1e-9 && multi <= ooo+1e-9 && ooo < ruu) {
 		t.Errorf("machine sophistication ordering violated: cray=%.3f multi=%.3f ooo=%.3f ruu=%.3f",
 			cray, multi, ooo, ruu)
@@ -109,7 +120,7 @@ func TestCustomProgramWorkflow(t *testing.T) {
 	if got := m.Float(65); got != 4.5 {
 		t.Errorf("program computed %v, want 4.5", got)
 	}
-	r := mustNew(t, "cray", mfup.M5BR2).Run(tr)
+	r := mustRun(t, mustNew(t, "cray", mfup.M5BR2), tr)
 	if r.Instructions != 5 || r.Cycles == 0 {
 		t.Errorf("simulation result %+v", r)
 	}
@@ -142,7 +153,10 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r := m.Run(k.SharedTrace())
+	r, err := m.RunChecked(k.SharedTrace(), mfup.SimLimits{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%s: %.2f instructions/cycle\n", k, r.IssueRate())
 	// Output: LFK 1 (hydro fragment): 0.29 instructions/cycle
 }
@@ -168,9 +182,9 @@ func TestVectorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vec := mustNew(t, "vector", mfup.M11BR5).Run(tr)
+	vec := mustRun(t, mustNew(t, "vector", mfup.M11BR5), tr)
 	sk := mfup.MustKernel(7)
-	cray := mustNew(t, "cray", mfup.M11BR5).Run(sk.SharedTrace())
+	cray := mustRun(t, mustNew(t, "cray", mfup.M11BR5), sk.SharedTrace())
 	if vec.Cycles*3 > cray.Cycles {
 		t.Errorf("vector LFK 7 (%d cycles) not clearly faster than scalar (%d)", vec.Cycles, cray.Cycles)
 	}
@@ -181,9 +195,9 @@ func TestVectorFacade(t *testing.T) {
 
 func TestDependencyResolutionFacade(t *testing.T) {
 	tr := mfup.MustKernel(5).SharedTrace()
-	cray := mustNew(t, "cray", mfup.M11BR5).Run(tr).IssueRate()
-	sb := mustNew(t, "scoreboard", mfup.M11BR5).Run(tr).IssueRate()
-	tom := mustNew(t, "tomasulo", mfup.M11BR5).Run(tr).IssueRate()
+	cray := mustRun(t, mustNew(t, "cray", mfup.M11BR5), tr).IssueRate()
+	sb := mustRun(t, mustNew(t, "scoreboard", mfup.M11BR5), tr).IssueRate()
+	tom := mustRun(t, mustNew(t, "tomasulo", mfup.M11BR5), tr).IssueRate()
 	if !(cray <= sb && sb <= tom) {
 		t.Errorf("dependency-resolution ordering violated: %.3f, %.3f, %.3f", cray, sb, tom)
 	}
@@ -200,8 +214,8 @@ func TestScheduleProgramFacade(t *testing.T) {
 	if err := k.Validate(m); err != nil {
 		t.Fatalf("scheduled program invalid: %v", err)
 	}
-	base := mustNew(t, "cray", mfup.M11BR5).Run(k.SharedTrace()).IssueRate()
-	sched := mustNew(t, "cray", mfup.M11BR5).Run(tr).IssueRate()
+	base := mustRun(t, mustNew(t, "cray", mfup.M11BR5), k.SharedTrace()).IssueRate()
+	sched := mustRun(t, mustNew(t, "cray", mfup.M11BR5), tr).IssueRate()
 	if sched <= base {
 		t.Errorf("scheduling did not help LFK 7: %.3f -> %.3f", base, sched)
 	}
@@ -222,8 +236,8 @@ func TestScaledKernelFacade(t *testing.T) {
 
 func TestPerfectBranchesFacade(t *testing.T) {
 	tr := mfup.MustKernel(12).SharedTrace()
-	base := mustNew(t, "cray", mfup.M11BR5).Run(tr).Cycles
-	ideal := mustNew(t, "cray", mfup.M11BR5.WithPerfectBranches()).Run(tr).Cycles
+	base := mustRun(t, mustNew(t, "cray", mfup.M11BR5), tr).Cycles
+	ideal := mustRun(t, mustNew(t, "cray", mfup.M11BR5.WithPerfectBranches()), tr).Cycles
 	if ideal >= base {
 		t.Errorf("perfect branches did not help: %d -> %d", base, ideal)
 	}
